@@ -3,6 +3,12 @@
 //! length of the (partial) path. Uses the wildcard configuration so the
 //! client predicate has hundreds of paths, like the paper's run.
 //!
+//! There is one sample per explored server constraint, i.e. per node of the
+//! exploration tree: a prefix shared by many paths is sampled once, when it
+//! is first explored, not again on every re-execution that replays it. The
+//! per-length sample counts are therefore tree-node counts and do not depend
+//! on the worker count.
+//!
 //! ```text
 //! cargo run --release -p achilles-bench --bin fig11_matching [-- --workers N] [-- --validate]
 //! ```

@@ -86,7 +86,8 @@ pub struct AchillesReport {
     pub trojans: Vec<TrojanReport>,
     /// Per-phase wall-clock times.
     pub phase_times: PhaseTimes,
-    /// Figure 11 samples (path length vs matching predicates).
+    /// Figure 11 samples (path length vs matching predicates), one per
+    /// explored server constraint.
     pub samples: Vec<MatchSample>,
     /// Search counters.
     pub search_stats: TrojanSearchStats,

@@ -18,6 +18,11 @@
 //! * at every accepting path end, the same query's model is concretized into
 //!   a witness message and (optionally) re-verified against every client
 //!   path predicate.
+//!
+//! The active set is the observer's per-path state: it is checkpointed as a
+//! bitset with every fork the executor schedules and resumed by the run
+//! that explores the fork, so each conjunct is checked once, however many
+//! re-executions replay it (S2E gets the same effect by forking the state).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -25,8 +30,8 @@ use std::time::{Duration, Instant};
 
 use achilles_solver::{Model, SatResult, Solver, TermId, TermPool, VarId};
 use achilles_symvm::{
-    Executor, ExploreConfig, ExploreStats, NodeProgram, ObserverCx, PathObserver, PathRecord,
-    SymMessage, Verdict,
+    Checkpoint, Executor, ExploreConfig, ExploreStats, NodeProgram, ObserverCx, PathObserver,
+    PathRecord, SymMessage, Verdict,
 };
 
 use crate::diff_matrix::DiffMatrix;
@@ -269,6 +274,10 @@ pub fn prepare_client_workers(
 
 /// One (path length, matching predicate count) sample — the raw data of
 /// Figure 11.
+///
+/// A sample is taken once per explored server constraint (one node of the
+/// exploration tree), when the constraint is first appended; runs that
+/// replay a shared prefix add no samples for it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MatchSample {
     /// Length of the (partial) server path, counted in conjuncts.
@@ -284,7 +293,12 @@ pub struct MatchSample {
 /// both exportable without aliasing. Metrics registry series are fully
 /// qualified: these export as `achilles_trojan_search_*`, the solver's as
 /// `achilles_solver_search_*`.
-#[derive(Clone, Copy, Debug, Default)]
+///
+/// Drops and checks are counted once per node of the server exploration
+/// tree: a run replaying a shared prefix resumes the observer's checkpoint
+/// instead of re-checking it, so the counters do not grow with the number
+/// of re-executions and are the same for every worker count.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TrojanSearchStats {
     /// Client predicates dropped by direct satisfiability checks.
     pub direct_drops: u64,
@@ -339,7 +353,8 @@ pub struct TrojanObserver<'p> {
     active_count: usize,
     /// Trojans found so far (one per accepting server path with Trojans).
     pub reports: Vec<TrojanReport>,
-    /// Figure 11 samples: (path length, matching predicates).
+    /// Figure 11 samples: (path length, matching predicates), one per
+    /// explored constraint.
     pub samples: Vec<MatchSample>,
     /// Search counters.
     pub stats: TrojanSearchStats,
@@ -549,7 +564,8 @@ pub struct TrojanSearchOutcome {
     /// Trojan reports in canonical path order (terms valid in the caller's
     /// pool, including for parallel runs).
     pub reports: Vec<TrojanReport>,
-    /// Figure 11 samples.
+    /// Figure 11 samples, one per explored constraint (summed over
+    /// workers; worker-count invariant).
     pub samples: Vec<MatchSample>,
     /// Search counters, summed over workers.
     pub stats: TrojanSearchStats,
@@ -755,6 +771,17 @@ impl PathObserver for TrojanObserver<'_> {
     fn on_path_start(&mut self) {
         self.active.iter_mut().for_each(|a| *a = true);
         self.active_count = self.active.len();
+    }
+
+    fn checkpoint(&self) -> Checkpoint {
+        Checkpoint::from_bits(self.active.iter().copied())
+    }
+
+    fn resume(&mut self, checkpoint: &Checkpoint) {
+        for (i, a) in self.active.iter_mut().enumerate() {
+            *a = checkpoint.bit(i);
+        }
+        self.active_count = self.active.iter().filter(|&&a| a).count();
     }
 
     fn on_constraint(&mut self, cx: &mut ObserverCx<'_>) -> bool {

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 
 use achilles_solver::{SatResult, Solver, TermId, TermPool};
 use achilles_symvm::{
-    Executor, ExploreConfig, NodeProgram, ObserverCx, PathObserver, PathRecord, Verdict,
+    Checkpoint, Executor, ExploreConfig, NodeProgram, ObserverCx, PathObserver, PathRecord, Verdict,
 };
 
 use crate::predicate::combine;
@@ -162,6 +162,22 @@ impl PathObserver for SequenceObserver<'_> {
         for state in &mut self.states {
             state.active.iter_mut().for_each(|a| *a = true);
             state.active_count = state.active.len();
+        }
+    }
+
+    /// The slots' active bitsets, concatenated in slot order.
+    fn checkpoint(&self) -> Checkpoint {
+        Checkpoint::from_bits(self.states.iter().flat_map(|s| s.active.iter().copied()))
+    }
+
+    fn resume(&mut self, checkpoint: &Checkpoint) {
+        let mut bit = 0;
+        for state in &mut self.states {
+            for a in &mut state.active {
+                *a = checkpoint.bit(bit);
+                bit += 1;
+            }
+            state.active_count = state.active.iter().filter(|&&a| a).count();
         }
     }
 

@@ -161,7 +161,7 @@ pub struct FspAnalysisResult {
     pub preprocess_time: Duration,
     /// Time analyzing the server.
     pub server_time: Duration,
-    /// Figure 11 samples.
+    /// Figure 11 samples, one per explored server constraint.
     pub samples: Vec<MatchSample>,
     /// Search counters.
     pub search_stats: TrojanSearchStats,

@@ -30,7 +30,7 @@ use std::sync::Arc;
 use achilles_solver::{SatResult, ScopedSolver, Solver, TermId, TermPool, VarId, Width};
 
 use crate::message::{MessageLayout, SymMessage};
-use crate::observer::{ObserverCx, PathObserver};
+use crate::observer::{Checkpoint, ObserverCx, PathObserver};
 use crate::program::{Halt, PathResult};
 use crate::record::Verdict;
 
@@ -82,6 +82,33 @@ fn recv_tag(salt: u64, recv_index: usize, field: &str, width: Width) -> u64 {
     sym_tag(salt, recv_index, field, width) ^ 0x5245_4356_5245_4356 // "RECVRECV"
 }
 
+/// A scheduled run: a decision prefix plus the observer state at the point
+/// where it was forked off (`None` for the root run).
+#[derive(Debug)]
+pub(crate) struct Fork {
+    pub decisions: Vec<bool>,
+    pub checkpoint: Option<Checkpoint>,
+}
+
+impl Fork {
+    /// The root run: empty prefix, fresh observer state.
+    pub(crate) fn root() -> Fork {
+        Fork {
+            decisions: Vec::new(),
+            checkpoint: None,
+        }
+    }
+
+    /// Puts `observer` in this run's starting state: the checkpoint taken
+    /// when the fork was scheduled, or the empty-prefix state for the root.
+    pub(crate) fn start(&self, observer: &mut dyn PathObserver) {
+        match &self.checkpoint {
+            Some(checkpoint) => observer.resume(checkpoint),
+            None => observer.on_path_start(),
+        }
+    }
+}
+
 /// What a finished run produced (consumed by the executor).
 #[derive(Debug)]
 pub(crate) struct RunOutput {
@@ -92,7 +119,7 @@ pub(crate) struct RunOutput {
     pub branch_points: usize,
     pub verdict: Option<Verdict>,
     pub notes: Vec<String>,
-    pub forks: Vec<Vec<bool>>,
+    pub forks: Vec<Fork>,
     pub branch_checks: u64,
     pub unknown_branches: u64,
     pub model_reuse_hits: u64,
@@ -109,7 +136,7 @@ pub struct SymEnv<'a> {
     // Replay/decision state.
     decisions: Vec<bool>,
     cursor: usize,
-    forks: Vec<Vec<bool>>,
+    forks: Vec<Fork>,
     // Path state.
     pc: Vec<TermId>,
     /// Incremental view of `pc`: frames mirror the path condition so branch
@@ -248,7 +275,14 @@ impl<'a> SymEnv<'a> {
         self.branch_points
     }
 
-    /// Adds `constraint` to the path condition and notifies the observer.
+    /// Adds `constraint` to the path condition and, past the replayed
+    /// prefix, notifies the observer.
+    ///
+    /// While `cursor < decisions.len()` the run is replaying its prefix:
+    /// every such conjunct passed the observer in the run that scheduled
+    /// this fork, and the observer was resumed from the checkpoint taken
+    /// there. The last decision's own conjunct is pushed with the cursor
+    /// already at the end, so it is the first one observed.
     fn push_constraint(&mut self, constraint: TermId) -> PathResult<()> {
         // Skip trivially true conjuncts so path predicates stay tight.
         if self.pool.as_const(constraint) == Some(1) {
@@ -256,6 +290,9 @@ impl<'a> SymEnv<'a> {
         }
         self.pc.push(constraint);
         self.scoped.push(constraint);
+        if self.cursor < self.decisions.len() {
+            return Ok(());
+        }
         let mut cx = ObserverCx {
             pool: self.pool,
             solver: self.solver,
@@ -333,10 +370,14 @@ impl<'a> SymEnv<'a> {
                 let take = if self.cursor < self.decisions.len() {
                     self.decisions[self.cursor]
                 } else {
-                    // New branch point: take `true`, schedule `false`.
-                    let mut other = self.decisions.clone();
-                    other.push(false);
-                    self.forks.push(other);
+                    // New branch point: take `true`, schedule `false` with
+                    // the observer state of the prefix before this branch.
+                    let mut decisions = self.decisions.clone();
+                    decisions.push(false);
+                    self.forks.push(Fork {
+                        decisions,
+                        checkpoint: Some(self.observer.checkpoint()),
+                    });
                     self.decisions.push(true);
                     true
                 };

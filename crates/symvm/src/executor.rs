@@ -8,6 +8,13 @@
 //! executor forks: the current run takes one side and the untaken side is
 //! pushed onto the worklist.
 //!
+//! A fork also carries the [`PathObserver::checkpoint`] taken where it was
+//! scheduled, so observer state forks with the path the way S2E forks its
+//! execution state. A run resumes the checkpoint and replays its prefix
+//! without notifying the observer; only conjuncts past the prefix reach
+//! [`PathObserver::on_constraint`], so each node of the exploration tree is
+//! observed once, however many runs replay it (see [`crate::observer`]).
+//!
 //! Re-execution trades CPU for simplicity and, combined with the
 //! deterministic variable interning in [`SymEnv`](crate::env::SymEnv), keeps
 //! path constraints structurally identical along shared prefixes — which the
@@ -19,7 +26,7 @@ use std::time::Instant;
 
 use achilles_solver::{Solver, TermId, TermPool};
 
-use crate::env::{Registry, SymEnv};
+use crate::env::{Fork, Registry, SymEnv};
 use crate::message::{MessageLayout, SymMessage};
 use crate::observer::{NullObserver, ObserverCx, PathObserver};
 use crate::parallel::ParallelOutcome;
@@ -245,8 +252,8 @@ impl<'a> Executor<'a> {
         let started = Instant::now();
         let solver_before = *self.solver.stats();
         let mut registry = Registry::new(self.config.recv_script.clone());
-        let mut worklist: VecDeque<Vec<bool>> = VecDeque::new();
-        worklist.push_back(Vec::new());
+        let mut worklist: VecDeque<Fork> = VecDeque::new();
+        worklist.push_back(Fork::root());
         let mut result = ExploreResult::default();
         let mut stats = ExploreStats {
             // `workers` echoes the request; `workers_effective` records that
@@ -258,7 +265,7 @@ impl<'a> Executor<'a> {
             ..ExploreStats::default()
         };
 
-        while let Some(prefix) = match self.config.order {
+        while let Some(fork) = match self.config.order {
             ExploreOrder::Dfs => worklist.pop_back(),
             ExploreOrder::Bfs => worklist.pop_front(),
         } {
@@ -266,13 +273,13 @@ impl<'a> Executor<'a> {
                 break;
             }
             stats.runs += 1;
-            observer.on_path_start();
+            fork.start(observer);
             let mut env = SymEnv::new(
                 self.pool,
                 self.solver,
                 observer,
                 &mut registry,
-                prefix,
+                fork.decisions,
                 &self.config.initial_constraints,
                 self.config.max_depth,
                 self.config.recv_prefix.clone(),

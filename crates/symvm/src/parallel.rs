@@ -1,9 +1,11 @@
 //! Parallel path exploration on a work-stealing pool.
 //!
 //! The re-execution-with-decision-prefix design makes every worklist item
-//! independent: a prefix fully determines its path, so items can run on any
-//! thread in any order. This module exploits that with a hand-rolled
-//! work-stealing pool (std threads only — the build environment is offline):
+//! independent: a prefix fully determines its path, and the observer
+//! checkpoint it carries (plain data, see [`crate::observer`]) determines the
+//! observer state it resumes from, so items can run on any thread in any
+//! order. This module exploits that with a hand-rolled work-stealing pool
+//! (std threads only — the build environment is offline):
 //!
 //! * **Isolation** — every worker owns a [`TermPool::fork`] of the base pool
 //!   and its own [`Solver`]. Base-pool ids stay valid in every fork, and
@@ -42,7 +44,7 @@ use std::time::{Duration, Instant};
 
 use achilles_solver::{SharedCache, Solver, SolverStats, TermId, TermPool};
 
-use crate::env::{Registry, SymEnv};
+use crate::env::{Fork, Registry, SymEnv};
 use crate::executor::ExploreConfig;
 use crate::message::SymMessage;
 use crate::observer::{ObserverCx, PathObserver};
@@ -175,7 +177,7 @@ impl CanonicalBound {
 
 /// Pool-global coordination state.
 struct Coordinator {
-    deques: Vec<Mutex<VecDeque<Vec<bool>>>>,
+    deques: Vec<Mutex<VecDeque<Fork>>>,
     /// Items queued or running; the exploration is over when this is zero.
     pending: AtomicUsize,
     /// Canonical bound over executed item prefixes (`max_runs`).
@@ -201,7 +203,7 @@ impl Coordinator {
         }
     }
 
-    fn push(&self, worker: usize, task: Vec<bool>) {
+    fn push(&self, worker: usize, task: Fork) {
         self.pending.fetch_add(1, Ordering::SeqCst);
         self.deques[worker]
             .lock()
@@ -218,7 +220,7 @@ impl Coordinator {
     }
 
     /// Pops own work (newest first) or steals (oldest first) from a victim.
-    fn take(&self, worker: usize) -> Option<Vec<bool>> {
+    fn take(&self, worker: usize) -> Option<Fork> {
         if let Some(task) = self.deques[worker]
             .lock()
             .expect("deque poisoned")
@@ -299,7 +301,7 @@ where
     shared.advance_epoch();
     let cross_before = shared.stats().cross_epoch_hits;
     let coord = Coordinator::new(workers, config);
-    coord.push(0, Vec::new());
+    coord.push(0, Fork::root());
 
     let worker_outcomes: Vec<WorkerOutcome<O>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
@@ -376,7 +378,7 @@ fn run_worker<O: PathObserver>(
     let mut busy = Duration::ZERO;
 
     loop {
-        let Some(prefix) = coord.take(worker) else {
+        let Some(fork) = coord.take(worker) else {
             if coord.done() {
                 break;
             }
@@ -394,24 +396,26 @@ fn run_worker<O: PathObserver>(
         // can only produce runs/paths the final truncation would discard, so
         // it is dropped (descendants included) without executing. In-flight
         // items always finish; there is no raced stop signal.
-        if coord.run_bound.prunes(&prefix) || coord.path_bound.prunes(&prefix) {
+        if coord.run_bound.prunes(&fork.decisions) || coord.path_bound.prunes(&fork.decisions) {
             coord.finish();
             continue;
         }
-        coord.run_bound.record(&prefix);
-        executed_prefixes.push(prefix.clone());
+        coord.run_bound.record(&fork.decisions);
+        executed_prefixes.push(fork.decisions.clone());
 
         let _item_span = achilles_obs::span("item", "symvm");
         let item_started = Instant::now();
         stats.runs += 1;
-        observer.on_path_start();
-        let item_prefix = prefix.clone();
+        // Checkpoints are plain data, so a stolen fork resumes on any
+        // worker's observer exactly as on the one that scheduled it.
+        fork.start(&mut observer);
+        let item_prefix = fork.decisions.clone();
         let mut env = SymEnv::new(
             &mut pool,
             &mut solver,
             &mut observer,
             &mut registry,
-            prefix,
+            fork.decisions,
             &config.initial_constraints,
             config.max_depth,
             config.recv_prefix.clone(),

@@ -179,6 +179,61 @@ fn paxos_is_worker_count_invariant() {
 }
 
 // ---------------------------------------------------------------------------
+// Discovery counters (one observer notification per exploration-tree node)
+// ---------------------------------------------------------------------------
+
+#[test]
+fn discovery_counters_are_worker_count_invariant() {
+    // Forks carry the observer's checkpoint, so every node of the server
+    // exploration tree is observed exactly once, by whichever worker runs
+    // it. The Trojan-search counters, the solver queries and the Figure 11
+    // sample count are therefore worker-count invariant, like the witness
+    // sets themselves.
+    use achilles::{AchillesSession, TargetSpec};
+    use achilles_fsp::analysis::{expected_length_mismatch_trojans, expected_wildcard_trojans};
+    use achilles_fsp::FspSpec;
+    use achilles_targets::builtin_registry;
+
+    let registry = builtin_registry();
+    let specs: [(&str, Arc<dyn TargetSpec>, usize); 2] = [
+        (
+            "fsp-wildcard",
+            Arc::new(FspSpec::wildcard()),
+            expected_length_mismatch_trojans(8) + expected_wildcard_trojans(8),
+        ),
+        (
+            "shardexec",
+            Arc::clone(registry.get("shardexec").expect("shardexec is registered")),
+            1,
+        ),
+    ];
+    for (name, spec, expected) in &specs {
+        let run = |workers: usize| {
+            let report = AchillesSession::new(&**spec).workers(workers).run();
+            let mut witnesses: Vec<Vec<u64>> = report
+                .trojans
+                .iter()
+                .map(|t| t.witness_fields.clone())
+                .collect();
+            witnesses.sort();
+            let queries: u64 = report.server_workers.iter().map(|w| w.queries).sum();
+            (
+                report.search_stats,
+                queries,
+                report.samples.len(),
+                report.server_paths,
+                witnesses,
+            )
+        };
+        let seq = run(1);
+        assert_eq!(seq.4.len(), *expected, "{name}: Trojan count");
+        for workers in [2usize, 4] {
+            assert_eq!(run(workers), seq, "{name} at {workers} workers");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Repeatability of the parallel path itself
 // ---------------------------------------------------------------------------
 
