@@ -20,7 +20,7 @@
 use achilles::AchillesSession;
 use achilles_bench::{
     arg_present, arg_value_required, bar, fmt_secs, header, row, trace_path_from_args,
-    validate_spec_result, workers_from_args, write_trace,
+    validate_findings, workers_from_args, write_trace,
 };
 use achilles_targets::builtin_registry;
 
@@ -143,7 +143,7 @@ fn main() {
     }
 
     if arg_present("--validate") {
-        let summary = validate_spec_result(&**spec, &report.trojans, workers);
+        let summary = validate_findings(&**spec, &report.trojans, workers);
         assert_eq!(
             summary.confirmed,
             report.trojans.len(),

@@ -16,7 +16,7 @@
 //! With `--validate`, the discovered Trojans (wildcard family included) are
 //! replayed against the concrete FSP deployment.
 
-use achilles_bench::{arg_present, bar, header, row, validate_spec_result, workers_from_args};
+use achilles_bench::{arg_present, bar, header, row, validate_findings, workers_from_args};
 use achilles_fsp::{run_analysis, FspAnalysisConfig};
 use std::collections::BTreeMap;
 
@@ -70,7 +70,7 @@ fn main() {
 
     if arg_present("--validate") {
         let spec = achilles_fsp::FspSpec::new(config.clone());
-        let summary = validate_spec_result(&spec, &result.trojans, workers);
+        let summary = validate_findings(&spec, &result.trojans, workers);
         assert_eq!(
             summary.confirmed,
             result.trojans.len(),

@@ -7,7 +7,7 @@
 //! cargo run --release -p achilles-bench --bin fuzzing_comparison
 //! ```
 
-use achilles_bench::{arg_present, fmt_secs, header, row, validate_spec_result};
+use achilles_bench::{arg_present, fmt_secs, header, row, validate_findings};
 use achilles_fsp::{expected_length_mismatch_trojans, run_analysis, FspAnalysisConfig};
 use achilles_fuzz::{expectation, run_campaign, FuzzConfig};
 
@@ -128,7 +128,7 @@ fn main() {
     // while every symbolic finding reproduces as a concrete failure.
     if arg_present("--validate") {
         let spec = achilles_fsp::FspSpec::accuracy();
-        let summary = validate_spec_result(&spec, &a.trojans, 1);
+        let summary = validate_findings(&spec, &a.trojans, 1);
         assert_eq!(
             summary.confirmed,
             a.trojans.len(),

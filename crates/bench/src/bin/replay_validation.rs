@@ -27,15 +27,17 @@
 //! discovered through [`AchillesSession::run_sessions`] and validated
 //! under the fault-free [`FaultSchedule`](achilles_replay::FaultSchedule),
 //! adding per-session rows to the report and to `BENCH_replay.json`.
+//! Both kinds go through one driver,
+//! [`validate_session_trojans`]: a single-message Trojan replays as a
+//! one-slot session against the spec's `replay_target`, a session Trojan
+//! against its `session_replay_target`.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
 use achilles::AchillesSession;
 use achilles_bench::{arg_present, arg_value, arg_value_required, header, host_cores, row};
-use achilles_replay::{
-    validate_spec, validate_spec_sessions, ReplayCorpus, SessionValidateConfig, ValidateConfig,
-};
+use achilles_replay::{validate_session_trojans, ReplayCorpus, SessionValidateConfig};
 use achilles_targets::builtin_registry;
 
 struct SystemRun {
@@ -63,8 +65,8 @@ fn corpus_path(dir: &str, name: &str) -> PathBuf {
 }
 
 /// Loads a corpus, treating a malformed file as empty *loudly* (the
-/// strict v2 parser reports the offending line; a CI cache hit on a
-/// corrupt file should re-validate, not crash the bench).
+/// strict parser reports the offending line; a CI cache hit on a corrupt
+/// file should re-validate, not crash the bench).
 fn load_corpus(path: &std::path::Path) -> ReplayCorpus {
     match ReplayCorpus::load(path) {
         Ok(corpus) => corpus,
@@ -91,14 +93,15 @@ fn validate_sessions(spec: &dyn achilles::TargetSpec, corpus_dir: Option<&str>) 
         None => ReplayCorpus::new(),
     };
     let mut runs = Vec::with_capacity(reports.len());
+    let config = SessionValidateConfig {
+        minimize: true,
+        ..SessionValidateConfig::default()
+    };
     for report in &reports {
-        let config = SessionValidateConfig {
-            minimize: true,
-            ..SessionValidateConfig::default()
-        };
-        let summary = validate_spec_sessions(spec, report, &mut corpus, &config);
+        let target = spec.session_replay_target(&report.session);
+        let summary = validate_session_trojans(&*target, &report.trojans, &mut corpus, &config);
         // Second pass: the corpus must short-circuit every known session.
-        let second = validate_spec_sessions(spec, report, &mut corpus, &config);
+        let second = validate_session_trojans(&*target, &report.trojans, &mut corpus, &config);
         let run = SessionRun {
             name,
             session: report.session.clone(),
@@ -159,13 +162,14 @@ fn validate_system(
         Some(dir) => load_corpus(&corpus_path(dir, name)),
         None => ReplayCorpus::new(),
     };
-    let config = ValidateConfig {
+    let config = SessionValidateConfig {
         minimize: true,
-        ..ValidateConfig::default()
+        ..SessionValidateConfig::default()
     };
-    let summary = validate_spec(spec, trojans, &mut corpus, &config);
+    let target = spec.replay_target();
+    let summary = validate_session_trojans(&*target, trojans, &mut corpus, &config);
     // Second pass: the corpus must short-circuit every known witness.
-    let second = validate_spec(spec, trojans, &mut corpus, &config);
+    let second = validate_session_trojans(&*target, trojans, &mut corpus, &config);
     if let Some(dir) = corpus_dir {
         std::fs::create_dir_all(dir).expect("create corpus dir");
         corpus
@@ -285,17 +289,17 @@ fn main() {
     for &workers in &sweep_counts {
         let mut corpus = ReplayCorpus::new();
         let started = Instant::now();
-        let summary = validate_spec(
-            &**sweep_spec,
+        let summary = validate_session_trojans(
+            &*sweep_spec.replay_target(),
             &sweep_trojans,
             &mut corpus,
-            &ValidateConfig::default().with_workers(workers),
+            &SessionValidateConfig::default().with_workers(workers),
         );
         let wall = started.elapsed().as_secs_f64();
         let key: Vec<(Vec<u64>, String)> = summary
             .results
             .iter()
-            .map(|r| (r.witness.fields.clone(), r.signature.to_line()))
+            .map(|r| (r.witness.flattened_fields(), r.signature.to_line()))
             .collect();
         match &reference {
             None => reference = Some(key),

@@ -93,18 +93,18 @@ pub fn header(title: &str) {
 /// (and every bin built on it) names no protocol.
 ///
 /// Returns the summary so callers can assert on it.
-pub fn validate_spec_result(
+pub fn validate_findings(
     spec: &dyn achilles::TargetSpec,
     trojans: &[achilles::TrojanReport],
     workers: usize,
-) -> achilles_replay::ValidationSummary {
-    use achilles_replay::{validate_spec, ReplayCorpus, ValidateConfig};
+) -> achilles_replay::SessionValidationSummary {
+    use achilles_replay::{validate_session_trojans, ReplayCorpus, SessionValidateConfig};
     let mut corpus = ReplayCorpus::new();
-    let summary = validate_spec(
-        spec,
+    let summary = validate_session_trojans(
+        &*spec.replay_target(),
         trojans,
         &mut corpus,
-        &ValidateConfig::default().with_workers(workers),
+        &SessionValidateConfig::default().with_workers(workers),
     );
     header(&format!("concrete replay validation ({})", spec.name()));
     println!("{}", row("witnesses replayed", summary.replayed));

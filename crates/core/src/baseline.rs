@@ -309,7 +309,7 @@ mod tests {
         // Incremental (Achilles).
         let mut achilles = Achilles::new();
         let config = AchillesConfig::verified();
-        let report = achilles.run(&client, &server, &layout(), &config);
+        let report = achilles.run(&[&client], &server, &layout(), &config);
         assert_eq!(report.trojans.len(), 1);
 
         // A-posteriori baseline, on a fresh engine.

@@ -205,7 +205,7 @@ mod tests {
     #[test]
     fn markdown_contains_witness_table_and_constraints() {
         let mut achilles = Achilles::new();
-        let report = achilles.run(&client, &server, &layout(), &AchillesConfig::verified());
+        let report = achilles.run(&[&client], &server, &layout(), &AchillesConfig::verified());
         let md = report_to_markdown(&achilles.pool, &report);
         assert!(md.contains("# Achilles Trojan-message report"), "{md}");
         assert!(md.contains("| # | server path | verified |"), "{md}");

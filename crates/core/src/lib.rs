@@ -38,8 +38,9 @@
 //! * [`TargetRegistry`] selects specs by name (`--target fsp`), so bench
 //!   bins, examples, and the conformance suite contain no per-protocol
 //!   match arms;
-//! * `achilles_replay::validate_spec` replays every finding against the
-//!   spec's deployment.
+//! * `achilles_replay::validate_session_trojans` replays every finding
+//!   against the spec's deployment (`spec.replay_target()`), a
+//!   single-message witness being a one-slot session.
 //!
 //! The shipped protocols (`achilles-fsp`, `achilles-pbft`,
 //! `achilles-paxos`, `achilles-twopc`) each implement the trait in their
@@ -171,9 +172,10 @@
 //!    benign baselines, and generability). Then
 //!    [`AchillesSession::run_sessions`] discovers session Trojans —
 //!    `⋁ₛ ¬genₛ(mₛ)`, with slot attribution — over the work-stealing
-//!    pool, and `achilles_replay::validate_spec_sessions` replays them
-//!    under per-delivery `FaultSchedule`s (drop / duplicate / bit-flip /
-//!    benign interleaving at any position). The conformance suite holds
+//!    pool, and `achilles_replay::validate_session_trojans` (over
+//!    `spec.session_replay_target(name)`) replays them under
+//!    per-delivery `FaultSchedule`s (drop / duplicate / bit-flip / benign
+//!    interleaving at any position). The conformance suite holds
 //!    declared sessions to the same bar automatically;
 //!    `examples/quickstart.rs` walks the whole step with a hello→request
 //!    session.

@@ -63,15 +63,12 @@ pub struct PhaseTimes {
     /// CPU time spent across all server-analysis workers (equals `server`
     /// for single-threaded runs; up to `workers ×` it when scaling).
     pub server_cpu: Duration,
-    /// Concrete witness replay (the opt-in `validate` phase driven by
-    /// `achilles-replay`; zero when validation did not run).
-    pub validate: Duration,
 }
 
 impl PhaseTimes {
     /// Total pipeline wall-clock time.
     pub fn total(&self) -> Duration {
-        self.client + self.preprocess + self.server + self.validate
+        self.client + self.preprocess + self.server
     }
 }
 
@@ -258,6 +255,10 @@ impl Achilles {
 
     /// Runs the full pipeline: client → preprocessing → server.
     ///
+    /// Every program in `clients` is explored and the predicates merged in
+    /// order (`P_C` = union over clients, e.g. the eight FSP utilities);
+    /// the exploration counters of the client phase are summed likewise.
+    ///
     /// Phase timing comes from `achilles_obs` timed spans: each phase of
     /// [`PhaseTimes`] is the duration of the matching span, so the §6.2
     /// breakdown and the exported Chrome trace are views of one
@@ -266,7 +267,7 @@ impl Achilles {
     /// metrics registry.
     pub fn run(
         &mut self,
-        client: &(dyn NodeProgram + Sync),
+        clients: &[&(dyn NodeProgram + Sync)],
         server: &(dyn NodeProgram + Sync),
         layout: &Arc<MessageLayout>,
         config: &AchillesConfig,
@@ -274,8 +275,14 @@ impl Achilles {
         let run_span = achilles_obs::timed("pipeline:run", "pipeline");
 
         let phase = achilles_obs::timed("phase:client", "pipeline");
-        let (client_pred, client_explore) =
-            self.extract_client_predicate(client, &config.client_explore);
+        let mut parts = Vec::with_capacity(clients.len());
+        let mut client_explore = ExploreStats::default();
+        for &client in clients {
+            let (pred, stats) = self.extract_client_predicate(client, &config.client_explore);
+            accumulate_stats(&mut client_explore, &stats);
+            parts.push(pred);
+        }
+        let client_pred = ClientPredicate::merge(parts);
         let client_time = phase.finish();
 
         let phase = achilles_obs::timed("phase:preprocess", "pipeline");
@@ -306,7 +313,6 @@ impl Achilles {
                 preprocess: preprocess_time,
                 server: server_time,
                 server_cpu,
-                validate: Duration::ZERO,
             },
             samples: outcome.samples,
             search_stats: outcome.stats,
@@ -316,6 +322,19 @@ impl Achilles {
             server_workers: outcome.workers,
         }
     }
+}
+
+/// Accumulation of exploration counters across the client programs of one
+/// run: plain-sum counters via [`ExploreStats::absorb_counters`] (shared
+/// with the parallel worker merge), `workers` as max, the rest as sums.
+fn accumulate_stats(into: &mut ExploreStats, part: &ExploreStats) {
+    into.absorb_counters(part);
+    into.workers = into.workers.max(part.workers);
+    into.workers_effective = into.workers_effective.max(part.workers_effective);
+    into.steals += part.steals;
+    into.shared_cache_hits += part.shared_cache_hits;
+    into.cross_phase_cache_hits += part.cross_phase_cache_hits;
+    into.wall_time += part.wall_time;
 }
 
 /// Publishes the process-lifetime proof-audit totals (certificates checked
@@ -382,7 +401,7 @@ mod tests {
     fn full_pipeline_finds_oversized_keys() {
         let mut achilles = Achilles::new();
         let config = AchillesConfig::verified();
-        let report = achilles.run(&client, &server, &layout(), &config);
+        let report = achilles.run(&[&client], &server, &layout(), &config);
         assert_eq!(report.client.len(), 1);
         assert_eq!(report.trojans.len(), 1);
         let t = &report.trojans[0];

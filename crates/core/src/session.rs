@@ -14,17 +14,17 @@
 //! let report = AchillesSession::new(&**spec).workers(4).run();
 //! ```
 //!
-//! and validation becomes `achilles_replay::validate_spec(&**spec, …)`.
+//! and validation becomes
+//! `achilles_replay::validate_session_trojans(&*spec.replay_target(), …)`.
 //! Protocols join by implementing [`TargetSpec`] and registering — no
 //! driver changes.
 
 use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use achilles_symvm::{ExploreStats, MessageLayout, SymMessage};
+use achilles_symvm::{MessageLayout, NodeProgram, SymMessage};
 
-use crate::pipeline::{Achilles, AchillesConfig, AchillesReport, LocalState, PhaseTimes};
+use crate::pipeline::{Achilles, AchillesConfig, AchillesReport, LocalState};
 use crate::predicate::{ClientPredicate, FieldMask};
 use crate::report::TrojanReport;
 use crate::search::{prepare_client_workers, Optimizations};
@@ -258,68 +258,14 @@ impl<'s> AchillesSession<'s> {
         self.engine
     }
 
-    /// Runs the pipeline: every client program of the spec is explored and
-    /// the predicates merged in order (`P_C` = union over clients), then
-    /// pre-processing and the server Trojan search run exactly as
-    /// [`Achilles::run`] would.
+    /// Runs the pipeline over the spec's client programs and server:
+    /// exactly [`Achilles::run`] on the session's engine and configuration.
     pub fn run(&mut self) -> AchillesReport {
-        let spec = self.spec;
-        let layout = spec.layout();
-        let run_span = achilles_obs::timed("pipeline:run", "pipeline");
-        let t0 = Instant::now();
-        let phase = achilles_obs::timed("phase:client", "pipeline");
-        let mut parts = Vec::new();
-        let mut client_explore = ExploreStats::default();
-        for client in spec.clients() {
-            let (pred, stats) = self
-                .engine
-                .extract_client_predicate(&*client, &self.config.client_explore);
-            accumulate_stats(&mut client_explore, &stats);
-            parts.push(pred);
-        }
-        let client_pred = ClientPredicate::merge(parts);
-        phase.finish();
-        let t1 = Instant::now();
-        let phase = achilles_obs::timed("phase:preprocess", "pipeline");
-        let prepared = self.engine.prepare_with_workers(
-            client_pred,
-            &layout,
-            self.config.mask.clone(),
-            self.config.optimizations,
-            self.config.server_explore.workers.max(1),
-        );
-        phase.finish();
-        let t2 = Instant::now();
-        let phase = achilles_obs::timed("phase:server", "pipeline");
-        let server = spec.server();
-        let outcome = self
-            .engine
-            .analyze_server(&*server, &prepared, &self.config);
-        phase.finish();
-        run_span.finish();
-        let t3 = Instant::now();
-        outcome.stats.record_metrics();
-        self.engine.shared_cache().stats().record_metrics();
-        crate::pipeline::record_proof_audit_metrics();
-        let server_cpu: Duration = outcome.workers.iter().map(|w| w.busy).sum();
-        AchillesReport {
-            client: prepared.client.clone(),
-            server_msg: prepared.server_msg.clone(),
-            trojans: outcome.reports,
-            phase_times: PhaseTimes {
-                client: t1 - t0,
-                preprocess: t2 - t1,
-                server: t3 - t2,
-                server_cpu,
-                validate: Duration::ZERO,
-            },
-            samples: outcome.samples,
-            search_stats: outcome.stats,
-            client_explore,
-            server_explore: outcome.explore,
-            server_paths: outcome.server_paths,
-            server_workers: outcome.workers,
-        }
+        let clients = self.spec.clients();
+        let clients: Vec<&(dyn NodeProgram + Sync)> = clients.iter().map(|c| &**c).collect();
+        let server = self.spec.server();
+        self.engine
+            .run(&clients, &*server, &self.spec.layout(), &self.config)
     }
 }
 
@@ -465,27 +411,13 @@ impl<'s> AchillesSession<'s> {
                 server_paths,
             });
         }
-        // Same merge-point mirror as `Pipeline::run`: session discovery
+        // Same merge-point mirror as `Achilles::run`: session discovery
         // publishes through the engine-persistent shared cache, so its
         // series must reflect this path too.
         self.engine.shared_cache().stats().record_metrics();
         crate::pipeline::record_proof_audit_metrics();
         out
     }
-}
-
-/// Accumulation of exploration counters across the client programs of one
-/// spec: plain-sum counters via [`ExploreStats::absorb_counters`]
-/// (shared with the parallel worker merge), `workers` as max, the rest as
-/// sums.
-fn accumulate_stats(into: &mut ExploreStats, part: &ExploreStats) {
-    into.absorb_counters(part);
-    into.workers = into.workers.max(part.workers);
-    into.workers_effective = into.workers_effective.max(part.workers_effective);
-    into.steals += part.steals;
-    into.shared_cache_hits += part.shared_cache_hits;
-    into.cross_phase_cache_hits += part.cross_phase_cache_hits;
-    into.wall_time += part.wall_time;
 }
 
 #[cfg(test)]
@@ -571,24 +503,67 @@ mod tests {
         }
     }
 
+    /// A second client sending only `op = 2` messages: the server accepts
+    /// none of them, so merging it in must leave the Trojan set unchanged
+    /// while adding its path predicates to `P_C`.
+    fn other_client(env: &mut SymEnv<'_>) -> PathResult<()> {
+        let key = env.sym("key", Width::W16);
+        let op = env.constant(2, Width::W8);
+        env.send(SymMessage::new(layout(), vec![op, key]));
+        Ok(())
+    }
+
+    /// [`KvSpec`] with two client programs.
+    struct TwoClientKvSpec;
+    impl crate::target::TargetSpec for TwoClientKvSpec {
+        fn name(&self) -> &'static str {
+            "kv2"
+        }
+        fn layout(&self) -> Arc<MessageLayout> {
+            layout()
+        }
+        fn clients(&self) -> Vec<Box<dyn NodeProgram + Sync + '_>> {
+            vec![Box::new(client), Box::new(other_client)]
+        }
+        fn server(&self) -> Box<dyn NodeProgram + Sync + '_> {
+            Box::new(server)
+        }
+        fn replay_target(&self) -> Box<dyn ReplayTarget> {
+            Box::new(KvTarget)
+        }
+    }
+
     #[test]
     fn session_matches_the_raw_pipeline() {
-        let spec = KvSpec;
-        let mut session = AchillesSession::new(&spec);
-        let via_session = session.run();
+        type Clients = [&'static (dyn NodeProgram + Sync)];
+        let one: &Clients = &[&client];
+        let two: &Clients = &[&client, &other_client];
+        let specs: [(&dyn crate::target::TargetSpec, &Clients); 2] =
+            [(&KvSpec, one), (&TwoClientKvSpec, two)];
+        for (spec, clients) in specs {
+            let mut session = AchillesSession::new(spec);
+            let via_session = session.run();
 
-        let mut achilles = Achilles::new();
-        let direct = achilles.run(&client, &server, &layout(), &AchillesConfig::verified());
+            let mut achilles = Achilles::new();
+            let direct = achilles.run(clients, &server, &layout(), &AchillesConfig::verified());
 
-        assert_eq!(via_session.trojans.len(), direct.trojans.len());
-        assert_eq!(
-            via_session.trojans[0].witness_fields,
-            direct.trojans[0].witness_fields
-        );
-        assert_eq!(via_session.server_paths, direct.server_paths);
-        assert_eq!(spec.expected_trojans(), Some(via_session.trojans.len()));
-        // The engine stays usable for custom queries over the results.
-        assert!(!session.engine().pool.is_empty());
+            let name = spec.name();
+            assert_eq!(via_session.client.len(), direct.client.len(), "{name}");
+            assert_eq!(
+                via_session.client_explore.completed, direct.client_explore.completed,
+                "{name}"
+            );
+            assert_eq!(via_session.trojans.len(), direct.trojans.len(), "{name}");
+            assert_eq!(
+                via_session.trojans[0].witness_fields, direct.trojans[0].witness_fields,
+                "{name}"
+            );
+            assert_eq!(via_session.server_paths, direct.server_paths, "{name}");
+            assert_eq!(via_session.trojans.len(), 1, "{name}");
+            // The engine stays usable for custom queries over the results.
+            assert!(!session.engine().pool.is_empty());
+        }
+        assert_eq!(KvSpec.expected_trojans(), Some(1));
     }
 
     #[test]

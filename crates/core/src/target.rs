@@ -488,7 +488,7 @@ pub trait TargetSpec: Send + Sync {
     /// single-message analysis:
     /// [`AchillesSession::run_sessions`](crate::AchillesSession::run_sessions)
     /// runs `analyze_sequence` per session over the work-stealing pool, and
-    /// `achilles_replay::validate_spec_sessions` fires the resulting
+    /// `achilles_replay::validate_session_trojans` fires the resulting
     /// session witnesses at [`TargetSpec::session_replay_target`].
     fn sessions(&self) -> Vec<SessionSpec> {
         Vec::new()

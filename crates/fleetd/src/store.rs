@@ -10,11 +10,12 @@
 //! per witness — present once a campaign executor has published the
 //! witness's sensitivity matrix for the current spec epoch.
 //!
-//! Durability reuses the **v2 replay corpus format** verbatim: a session
-//! shard serializes as one [`ReplayCorpus`] whose entry signatures are
-//! the witnesses' fault-free baseline signatures. No new witness
-//! serialization, no format bump — a corpus file written by the replay
-//! pipeline seeds a fleetd shard and vice versa.
+//! Durability reuses the **replay corpus format** (currently v4) verbatim:
+//! a session shard serializes as one [`ReplayCorpus`] whose entry
+//! signatures are the witnesses' fault-free baseline signatures. No
+//! witness serialization of its own, no version of its own — a corpus
+//! file written by the replay pipeline seeds a fleetd shard and vice
+//! versa, and a corpus format bump rolls fleetd state over with it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -167,7 +168,7 @@ impl SessionShard {
         Some(gone)
     }
 
-    /// Serializes the shard's *completed* witnesses as a v2 replay corpus
+    /// Serializes the shard's *completed* witnesses as a replay corpus
     /// (entry signature = the witness's fault-free baseline signature).
     /// Pending witnesses are skipped — a drain precedes every save.
     pub fn to_corpus(&self) -> ReplayCorpus {

@@ -308,6 +308,14 @@ mod tests {
         assert_eq!(result.wildcards(), 0);
         assert_eq!(result.others(), 0);
         assert_eq!(result.unverified(), 0, "no false positives (Table 1)");
+        // Discovery timestamps are monotone: the curve of Figure 10.
+        assert!(
+            result
+                .trojans
+                .windows(2)
+                .all(|w| w[0].found_at <= w[1].found_at),
+            "Trojans are reported in discovery order"
+        );
     }
 
     #[test]
@@ -321,6 +329,8 @@ mod tests {
         assert_eq!(result.wildcards(), expected_wildcard_trojans(1));
         assert_eq!(result.others(), 0);
         assert_eq!(result.unverified(), 0);
+        // The glob-mode client still yields Figure 11 matching samples.
+        assert!(!result.samples.is_empty());
     }
 
     #[test]

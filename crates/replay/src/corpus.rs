@@ -14,7 +14,11 @@
 //! accompanies divergence-aware triage: effect vocabularies now include
 //! the `diverge:*` / `root:agree:*` markers multi-node targets emit, so
 //! pre-divergence corpora must be re-derived rather than quietly answer
-//! for cells they never observed. A file with a stale or foreign header is
+//! for cells they never observed. The **v4** bump marks the single replay
+//! path: a single-message witness replays as a one-slot session, so its
+//! confirmed signature carries the `trojan-slot:0` effect (one-slot
+//! entries keep the plain single-message record and signature form). A
+//! file with a stale or foreign header is
 //! **rejected** with a line-1 [`CorpusParseError`] naming the expected
 //! version — earlier releases loaded it as an empty corpus, which silently
 //! discarded the store and re-validated everything without telling anyone.
@@ -36,11 +40,11 @@ use achilles::export::{parse_session_witness_record, session_witness_record, wit
 
 use crate::signature::CrashSignature;
 
-/// File-format version tag (first line of every corpus file). The `v3`
-/// bump marks the divergence-aware effect vocabulary (`diverge:*` /
-/// `root:agree:*`): older corpora predate multi-node root observation and
-/// must be re-derived, not trusted.
-const HEADER: &str = "# achilles-replay corpus v3";
+/// File-format version tag (first line of every corpus file). The `v4`
+/// bump marks the one-slot effect vocabulary (`trojan-slot:0` on
+/// single-message signatures): older corpora carry signatures this replay
+/// path no longer produces and must be re-derived, not trusted.
+const HEADER: &str = "# achilles-replay corpus v4";
 
 /// A malformed corpus entry, with the 1-based line it sits on.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -67,8 +71,8 @@ pub struct CorpusEntry {
     /// The witness's concrete field values (session witnesses store the
     /// slots concatenated; `slot_lens` records the boundaries).
     pub fields: Vec<u64>,
-    /// Per-slot field counts for session witnesses; empty for
-    /// single-message witnesses.
+    /// Per-slot field counts for session witnesses of two or more slots;
+    /// empty for one-slot (single-message) witnesses.
     pub slot_lens: Vec<usize>,
     /// Essential field indices from minimization (empty = not minimized).
     /// For session witnesses these index into the concatenated `fields`.
@@ -76,22 +80,9 @@ pub struct CorpusEntry {
 }
 
 impl CorpusEntry {
-    /// A single-message entry.
-    pub fn single(
-        signature: CrashSignature,
-        fields: Vec<u64>,
-        essential: Vec<usize>,
-    ) -> CorpusEntry {
-        CorpusEntry {
-            signature,
-            fields,
-            slot_lens: Vec::new(),
-            essential,
-        }
-    }
-
-    /// A session entry over per-slot field values; `essential` carries
-    /// `(slot, field)` pairs, stored as indices into the concatenation.
+    /// An entry over per-slot field values (one slot for a single-message
+    /// witness); `essential` carries `(slot, field)` pairs, stored as
+    /// indices into the concatenation.
     pub fn session(
         signature: CrashSignature,
         slot_fields: &[Vec<u64>],
@@ -114,8 +105,7 @@ impl CorpusEntry {
         }
     }
 
-    /// The per-slot field values (a single vector for single-message
-    /// entries).
+    /// The per-slot field values (a single vector for one-slot entries).
     pub fn slot_fields(&self) -> Vec<Vec<u64>> {
         if self.slot_lens.is_empty() {
             return vec![self.fields.clone()];
@@ -129,8 +119,9 @@ impl CorpusEntry {
 pub struct ReplayCorpus {
     entries: Vec<CorpusEntry>,
     signatures: HashSet<CrashSignature>,
-    /// Keyed on (slot boundaries, concatenated fields): a session witness
-    /// and a single-message witness with identical bytes are distinct.
+    /// Keyed on (slot boundaries, concatenated fields): a multi-slot
+    /// session witness and a one-slot witness with identical bytes are
+    /// distinct.
     witnesses: HashSet<(Vec<usize>, Vec<u64>)>,
 }
 
@@ -155,19 +146,12 @@ impl ReplayCorpus {
         self.entries.is_empty()
     }
 
-    /// Whether this exact single-message witness (by field values) is
-    /// already recorded.
-    pub fn knows_witness(&self, fields: &[u64]) -> bool {
-        self.witnesses.contains(&(Vec::new(), fields.to_vec()))
-    }
-
     /// Whether this exact session witness (per-slot field values) is
     /// already recorded.
     pub fn knows_session_witness(&self, slot_fields: &[Vec<u64>]) -> bool {
         let mut lens: Vec<usize> = slot_fields.iter().map(Vec::len).collect();
         if lens.len() <= 1 {
-            // A one-slot session is indistinguishable from (and deduped
-            // with) the single-message form.
+            // One-slot entries are stored without slot boundaries.
             lens = Vec::new();
         }
         let fields: Vec<u64> = slot_fields.iter().flatten().copied().collect();
@@ -364,14 +348,14 @@ mod tests {
     use crate::target::ReplayVerdict;
 
     fn entry(system: &str, fields: Vec<u64>, effect: &str) -> CorpusEntry {
-        CorpusEntry::single(
+        CorpusEntry::session(
             CrashSignature::new(
                 system,
                 ReplayVerdict::ConfirmedTrojan,
                 vec![effect.to_string()],
             ),
-            fields,
-            vec![0, 2],
+            &[fields],
+            &[(0, 0), (0, 2)],
         )
     }
 
@@ -395,8 +379,8 @@ mod tests {
         assert!(!corpus.insert(entry("fsp", vec![1], "a")));
         assert_eq!(corpus.len(), 2);
         assert_eq!(corpus.distinct_signatures(), 1);
-        assert!(corpus.knows_witness(&[2]));
-        assert!(!corpus.knows_witness(&[3]));
+        assert!(corpus.knows_session_witness(&[vec![2]]));
+        assert!(!corpus.knows_session_witness(&[vec![3]]));
     }
 
     #[test]
@@ -439,11 +423,12 @@ mod tests {
             "no header",
             "# achilles-replay corpus v1\nfsp/confirmed/a|1,2|\n",
             "# achilles-replay corpus v2\nfsp/confirmed/a|1,2|\n",
+            "# achilles-replay corpus v3\nfsp/confirmed/a|1,2|\n",
         ] {
             let err = ReplayCorpus::from_text(stale).expect_err("stale header must error");
             assert_eq!(err.line, 1, "{stale:?}");
             assert!(
-                err.reason.contains("v3"),
+                err.reason.contains("v4"),
                 "names the expected version: {err}"
             );
         }
@@ -466,7 +451,7 @@ mod tests {
 
     #[test]
     fn divergence_entries_round_trip() {
-        // A v3 corpus persists the divergence effect vocabulary intact:
+        // The corpus persists the divergence effect vocabulary intact:
         // the parsed-back signature still reports the same split.
         let sig = CrashSignature::for_session(
             "shardexec",
@@ -529,15 +514,32 @@ mod tests {
         let mut corpus = ReplayCorpus::new();
         assert!(corpus.insert(CorpusEntry::session(sig, &slots, &[(0, 1), (1, 2)])));
         assert!(corpus.knows_session_witness(&slots));
-        // Same bytes as a *single-message* witness: a different thing.
-        assert!(!corpus.knows_witness(&[3, 150, 68, 0, 1]));
+        // Same bytes as a *one-slot* witness: a different thing.
+        assert!(!corpus.knows_session_witness(&[vec![3, 150, 68, 0, 1]]));
+
+        // A one-slot entry alongside: stored in the single-message form.
+        let one_slot_sig = CrashSignature::new(
+            "fsp",
+            ReplayVerdict::ConfirmedTrojan,
+            vec!["trojan-slot:0".into()],
+        );
+        let one_slot = vec![vec![68, 0, 3]];
+        assert!(corpus.insert(CorpusEntry::session(one_slot_sig, &one_slot, &[(0, 2)])));
+        assert!(corpus.entries()[1].slot_lens.is_empty());
 
         let text = corpus.to_text();
         assert!(text.contains("3,150/68,0,1"), "{text}");
+        assert!(
+            text.contains("fsp/confirmed/trojan-slot:0|68,0,3|2\n"),
+            "{text}"
+        );
         let back = ReplayCorpus::from_text(&text).unwrap();
         assert_eq!(back.entries(), corpus.entries());
         assert!(back.knows_session_witness(&slots));
+        assert!(back.knows_session_witness(&one_slot));
         assert_eq!(back.entries()[0].slot_fields(), slots);
         assert_eq!(back.entries()[0].essential, vec![1, 4]);
+        assert_eq!(back.entries()[1].slot_fields(), one_slot);
+        assert_eq!(back.entries()[1].essential, vec![2]);
     }
 }

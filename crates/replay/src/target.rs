@@ -1,18 +1,24 @@
 //! The replay harness around a [`ReplayTarget`].
 //!
 //! A [`ReplayTarget`] (defined in `achilles-core`, produced by
-//! [`TargetSpec::replay_target`](achilles::TargetSpec::replay_target))
+//! [`TargetSpec::replay_target`](achilles::TargetSpec::replay_target) or
+//! [`TargetSpec::session_replay_target`](achilles::TargetSpec::session_replay_target))
 //! boots a fresh concrete deployment per injection and fires a delivery
 //! plan of wire datagrams at it. Booting per injection is what makes
 //! replay a pure function of the witness bytes: results are bit-identical
 //! across worker counts, runs, and machines.
 //!
-//! [`replay`] is the harness around a target: it expands a [`FaultPlan`]
-//! into the delivery plan (drop, duplicate, reorder with a benign
-//! companion, single bit-flip via [`achilles_netsim::flip_bit`] — the
-//! paper's S3 motivating fault), classifies the outcome against the
-//! client-generability oracle, and folds everything into a
-//! [`CrashSignature`] for triage.
+//! [`replay_session`] is the harness around a target: [`plan_session`]
+//! expands a [`FaultSchedule`] into the delivery plan (per slot: drop,
+//! duplicate, a benign companion delivered first, single bit-flip via
+//! [`achilles_netsim::flip_bit`] — the paper's S3 motivating fault), and
+//! [`classify_session`] classifies the outcome against the per-slot
+//! client-generability oracle and folds everything into a
+//! [`CrashSignature`] for triage. A single-message witness is a one-slot
+//! session: the target's `slot_*` defaults are its
+//! [`layout`](ReplayTarget::layout),
+//! [`benign_fields`](ReplayTarget::benign_fields) and
+//! [`client_generable`](ReplayTarget::client_generable).
 //!
 //! The concrete deployments themselves live with their protocols
 //! (`achilles_fsp::FspTarget`, `achilles_pbft::PbftTarget`,
@@ -24,35 +30,10 @@ pub use achilles::{Delivery, InjectionOutcome, ReplayTarget};
 use achilles_netsim::flip_bit;
 
 use crate::signature::CrashSignature;
-use crate::witness::{fields_to_wire, wire_to_fields, ConcreteWitness, SessionWitness};
+use crate::witness::{fields_to_wire, wire_to_fields, SessionWitness};
 
-/// Network faults applied to a witness injection.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FaultPlan {
-    /// Drop the witness entirely (it never reaches the target).
-    pub drop: bool,
-    /// Deliver the witness twice (duplicate datagram).
-    pub duplicate: bool,
-    /// Deliver a benign, correct-client message before the witness
-    /// (reordering/interleaving with legitimate traffic).
-    pub reorder_with_benign: bool,
-    /// Flip one bit (0 = LSB of byte 0) of the witness wire bytes before
-    /// delivery.
-    pub flip_bit: Option<usize>,
-}
-
-impl FaultPlan {
-    /// The fault-free plan: deliver the witness once, verbatim.
-    pub fn none() -> FaultPlan {
-        FaultPlan::default()
-    }
-}
-
-/// Network faults applied to *one delivery position* of a session replay.
-///
-/// The session analogue of [`FaultPlan`]: the same four fault kinds, but
-/// addressable at any position of the message sequence through a
-/// [`FaultSchedule`].
+/// Network faults applied to *one delivery position* of a session replay,
+/// addressed through a [`FaultSchedule`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeliveryFault {
     /// Drop this slot's witness message (the session never completes).
@@ -152,98 +133,6 @@ impl ReplayVerdict {
     }
 }
 
-/// The full record of one witness replay.
-#[derive(Clone, Debug)]
-pub struct ReplayResult {
-    /// The injected witness (pre-fault provenance).
-    pub witness: ConcreteWitness,
-    /// Raw injection outcome.
-    pub outcome: InjectionOutcome,
-    /// The faults *actually applied*. Differs from the requested plan
-    /// exactly when a fault could not be applied — an out-of-range
-    /// `flip_bit` index is recorded here as `None`, so a schedule sweep
-    /// never misclassifies an unflipped run as "survives bit-flip".
-    pub applied: FaultPlan,
-    /// Whether the client-side oracle can generate the *delivered* message
-    /// (after any bit-flip fault; equals the witness itself when no fault
-    /// rewrote it).
-    pub generable: bool,
-    /// Final classification.
-    pub verdict: ReplayVerdict,
-    /// Structural signature for dedup/triage.
-    pub signature: CrashSignature,
-}
-
-/// Replays one witness against a target under a fault plan.
-pub fn replay(
-    target: &dyn ReplayTarget,
-    witness: &ConcreteWitness,
-    faults: &FaultPlan,
-) -> ReplayResult {
-    let mut applied = *faults;
-    let mut wire = witness.wire.clone();
-    let mut delivered_fields = witness.fields.clone();
-    if faults.drop {
-        // Nothing is delivered, so no fault touched a delivered message:
-        // the duplicate never happened and the flip never reached a wire.
-        applied.duplicate = false;
-        applied.flip_bit = None;
-    } else if let Some(bit) = faults.flip_bit {
-        if bit < wire.len() * 8 {
-            wire = flip_bit(&wire, bit);
-            // The server sees the flipped message; the generability oracle
-            // must judge the same bytes, or a benign message armed into a
-            // Trojan in flight (the paper's S3 bit-flip) is misclassified.
-            delivered_fields = wire_to_fields(&target.layout(), &wire)
-                .expect("a flipped copy of an encodable message decodes");
-        } else {
-            // The index points past the wire: nothing was flipped, and the
-            // result must say so instead of posing as a survived fault.
-            applied.flip_bit = None;
-        }
-    }
-    let mut deliveries: Vec<Delivery> = Vec::new();
-    if faults.reorder_with_benign {
-        let benign = target.benign_fields();
-        let bw = fields_to_wire(&target.layout(), &benign)
-            .expect("benign messages encode by construction");
-        deliveries.push((bw, false));
-    }
-    if !faults.drop {
-        deliveries.push((wire.clone(), true));
-        if faults.duplicate {
-            deliveries.push((wire, true));
-        }
-    }
-    let outcome = target.inject(&deliveries);
-    debug_assert_eq!(outcome.accepted_each.len(), deliveries.len());
-    let witness_delivered = deliveries.iter().any(|(_, w)| *w);
-    let witness_accepted = outcome
-        .accepted_each
-        .iter()
-        .zip(&deliveries)
-        .any(|(&a, (_, w))| a && *w);
-    let generable = target.client_generable(&delivered_fields);
-    let verdict = if !witness_delivered {
-        ReplayVerdict::Dropped
-    } else if witness_accepted && !generable {
-        ReplayVerdict::ConfirmedTrojan
-    } else if witness_accepted {
-        ReplayVerdict::AcceptedGenerable
-    } else {
-        ReplayVerdict::Rejected
-    };
-    let signature = CrashSignature::new(target.name(), verdict, outcome.effects.clone());
-    ReplayResult {
-        witness: witness.clone(),
-        outcome,
-        applied,
-        generable,
-        verdict,
-        signature,
-    }
-}
-
 /// The full record of one session-witness replay.
 #[derive(Clone, Debug)]
 pub struct SessionReplayResult {
@@ -251,8 +140,10 @@ pub struct SessionReplayResult {
     pub witness: SessionWitness,
     /// Raw injection outcome over the whole delivery sequence.
     pub outcome: InjectionOutcome,
-    /// The schedule *actually applied* (out-of-range `flip_bit` entries are
-    /// recorded as `None`, like [`ReplayResult::applied`]).
+    /// The schedule *actually applied*. Differs from the requested one
+    /// exactly when a fault could not be applied — an out-of-range
+    /// `flip_bit` index is recorded here as `None`, so a schedule sweep
+    /// never misclassifies an unflipped run as "survives bit-flip".
     pub applied: FaultSchedule,
     /// Per-slot generability of the *delivered* (post-fault) message;
     /// `None` for slots the schedule dropped.
@@ -425,8 +316,8 @@ pub fn classify_session(
 /// The delivery plan is the session's slots in order, expanded by the
 /// schedule: benign interleavings before a slot, duplicated or dropped
 /// slot messages, and single bit-flips at any position. The whole plan
-/// goes through the same [`ReplayTarget::inject`] delivery vector as
-/// single-message replay; the deployment consumes it statefully.
+/// goes through one [`ReplayTarget::inject`] delivery vector; the
+/// deployment consumes it statefully.
 ///
 /// Classification: a session whose schedule dropped any witness message is
 /// [`ReplayVerdict::Dropped`]; otherwise the session must be *accepted in
@@ -452,27 +343,35 @@ pub fn replay_session(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::witness::from_report;
+    use crate::witness::session_from_report;
     use achilles::TrojanReport;
     use achilles_fsp::{Command, FspMessage, FspServerConfig, FspTarget};
     use achilles_paxos::{PaxosTarget, ProposerMode, ACCEPT_KIND};
     use achilles_pbft::{ClusterConfig, PbftRequest, PbftTarget};
     use std::time::Duration;
 
-    fn fsp_report(msg: &FspMessage) -> TrojanReport {
-        TrojanReport {
+    /// The one-slot session witness of `fields` on `target`.
+    fn one_slot(target: &dyn ReplayTarget, fields: Vec<u64>) -> SessionWitness {
+        let report = TrojanReport {
             server_path_id: 0,
             constraints: vec![],
-            witness_fields: msg.field_values(),
+            witness_fields: fields,
             active_clients: 0,
             verified: true,
             found_at: Duration::ZERO,
             notes: vec![],
-        }
+        };
+        session_from_report(&target.slot_layouts(), 0, &report).unwrap()
     }
 
-    fn fsp_witness(msg: &FspMessage) -> ConcreteWitness {
-        from_report(&achilles_fsp::layout(), 0, &fsp_report(msg)).unwrap()
+    /// Replays `msg` on `target` with `fault` on its only slot.
+    fn replay_fsp(
+        target: &FspTarget,
+        msg: &FspMessage,
+        fault: DeliveryFault,
+    ) -> SessionReplayResult {
+        let witness = one_slot(target, msg.field_values());
+        replay_session(target, &witness, &FaultSchedule::at(0, fault))
     }
 
     #[test]
@@ -481,22 +380,25 @@ mod tests {
         let mut msg = FspMessage::request(Command::Stat, b"a");
         msg.bb_len = 3;
         msg.buf = [b'a', 0, 0x77, 0];
-        let result = replay(&target, &fsp_witness(&msg), &FaultPlan::none());
+        let result = replay_fsp(&target, &msg, DeliveryFault::none());
         assert_eq!(result.verdict, ReplayVerdict::ConfirmedTrojan);
         assert!(result
             .signature
             .effects
             .iter()
             .any(|e| e.starts_with("family:len-mismatch:fstat")));
+        assert!(result.signature.effects.contains(&"trojan-slot:0".into()));
+        assert_eq!(result.signature.slots, 1);
     }
 
     #[test]
     fn fsp_benign_request_is_generable() {
         let target = FspTarget::new(FspServerConfig::default(), false);
         let msg = FspMessage::request(Command::DelFile, b"f1");
-        let result = replay(&target, &fsp_witness(&msg), &FaultPlan::none());
+        let result = replay_fsp(&target, &msg, DeliveryFault::none());
         assert_eq!(result.verdict, ReplayVerdict::AcceptedGenerable);
         assert!(result.signature.effects.contains(&"fs:-f1".to_string()));
+        assert!(result.trojan_slots.is_empty());
     }
 
     #[test]
@@ -509,7 +411,7 @@ mod tests {
         let mut msg = FspMessage::request(Command::Stat, b"a");
         msg.bb_len = 3;
         msg.buf = [b'a', 0, 0x77, 0];
-        let result = replay(&target, &fsp_witness(&msg), &FaultPlan::none());
+        let result = replay_fsp(&target, &msg, DeliveryFault::none());
         assert_eq!(result.verdict, ReplayVerdict::Rejected);
     }
 
@@ -517,21 +419,21 @@ mod tests {
     fn fault_plan_drop_and_duplicate() {
         let target = FspTarget::new(FspServerConfig::default(), false);
         let msg = FspMessage::request(Command::DelFile, b"f1");
-        let dropped = replay(
+        let dropped = replay_fsp(
             &target,
-            &fsp_witness(&msg),
-            &FaultPlan {
+            &msg,
+            DeliveryFault {
                 drop: true,
-                ..FaultPlan::none()
+                ..DeliveryFault::none()
             },
         );
         assert_eq!(dropped.verdict, ReplayVerdict::Dropped);
-        let dup = replay(
+        let dup = replay_fsp(
             &target,
-            &fsp_witness(&msg),
-            &FaultPlan {
+            &msg,
+            DeliveryFault {
                 duplicate: true,
-                ..FaultPlan::none()
+                ..DeliveryFault::none()
             },
         );
         // First copy deletes /f1, the second copy fails on the missing file.
@@ -549,12 +451,12 @@ mod tests {
         let wire = msg.to_wire();
         // First payload byte of `buf` in the wire layout.
         let buf_byte = wire.len() - achilles_fsp::MAX_PATH;
-        let result = replay(
+        let result = replay_fsp(
             &target,
-            &fsp_witness(&msg),
-            &FaultPlan {
+            &msg,
+            DeliveryFault {
                 flip_bit: Some(buf_byte * 8 + 6),
-                ..FaultPlan::none()
+                ..DeliveryFault::none()
             },
         );
         // The *flipped* message is what the server saw — and what the
@@ -565,7 +467,11 @@ mod tests {
             .effects
             .iter()
             .any(|e| e.starts_with("family:wildcard")));
-        assert!(!result.generable, "no glob client sends a literal '*'");
+        assert_eq!(
+            result.generable_slots,
+            vec![Some(false)],
+            "no glob client sends a literal '*'"
+        );
         assert_eq!(result.verdict, ReplayVerdict::ConfirmedTrojan);
     }
 
@@ -577,46 +483,48 @@ mod tests {
         let target = FspTarget::new(FspServerConfig::default(), false);
         let msg = FspMessage::request(Command::DelFile, b"f1");
         let wire_bits = msg.to_wire().len() * 8;
-        let requested = FaultPlan {
+        let requested = DeliveryFault {
             flip_bit: Some(wire_bits + 3),
-            ..FaultPlan::none()
+            ..DeliveryFault::none()
         };
-        let result = replay(&target, &fsp_witness(&msg), &requested);
+        let result = replay_fsp(&target, &msg, requested);
         assert_eq!(
-            result.applied.flip_bit, None,
+            result.applied.fault_for(0).flip_bit,
+            None,
             "the fault never touched the wire and must be reported as such"
         );
-        assert_eq!(result.applied, FaultPlan::none());
+        assert_eq!(result.applied.slots, vec![DeliveryFault::none()]);
         // The unflipped message is the benign original.
         assert_eq!(result.verdict, ReplayVerdict::AcceptedGenerable);
 
         // In-range flips still record as applied.
-        let in_range = replay(
+        let in_range = replay_fsp(
             &target,
-            &fsp_witness(&msg),
-            &FaultPlan {
+            &msg,
+            DeliveryFault {
                 flip_bit: Some(6),
-                ..FaultPlan::none()
+                ..DeliveryFault::none()
             },
         );
-        assert_eq!(in_range.applied.flip_bit, Some(6));
+        assert_eq!(in_range.applied.fault_for(0).flip_bit, Some(6));
 
         // Drop masks the other witness faults: nothing was delivered, so
         // neither the duplicate nor the flip counts as applied.
-        let masked = replay(
+        let masked = replay_fsp(
             &target,
-            &fsp_witness(&msg),
-            &FaultPlan {
+            &msg,
+            DeliveryFault {
                 drop: true,
                 duplicate: true,
                 flip_bit: Some(6),
-                ..FaultPlan::none()
+                ..DeliveryFault::none()
             },
         );
         assert_eq!(masked.verdict, ReplayVerdict::Dropped);
-        assert!(masked.applied.drop);
-        assert!(!masked.applied.duplicate);
-        assert_eq!(masked.applied.flip_bit, None);
+        let applied = masked.applied.fault_for(0);
+        assert!(applied.drop);
+        assert!(!applied.duplicate);
+        assert_eq!(applied.flip_bit, None);
     }
 
     #[test]
@@ -625,14 +533,22 @@ mod tests {
         let mut msg = FspMessage::request(Command::Stat, b"a");
         msg.bb_len = 2;
         msg.buf = [b'a', 0, 0, 0];
-        let result = replay(
-            &target,
-            &fsp_witness(&msg),
-            &FaultPlan {
-                reorder_with_benign: true,
-                ..FaultPlan::none()
+        let witness = one_slot(&target, msg.field_values());
+        let schedule = FaultSchedule::at(
+            0,
+            DeliveryFault {
+                benign_before: true,
+                ..DeliveryFault::none()
             },
         );
+        let plan = plan_session(&target, &witness, &schedule);
+        let benign = fields_to_wire(&target.layout(), &target.benign_fields()).unwrap();
+        assert_eq!(
+            plan.deliveries,
+            vec![(benign, false), (witness.wire[0].clone(), true)],
+            "the benign companion goes out before the witness"
+        );
+        let result = replay_session(&target, &witness, &schedule);
         assert_eq!(result.outcome.accepted_each.len(), 2);
         assert_eq!(result.verdict, ReplayVerdict::ConfirmedTrojan);
     }
@@ -641,21 +557,8 @@ mod tests {
     fn pbft_witness_triggers_recovery() {
         let target = PbftTarget::new(ClusterConfig::default());
         let req = PbftRequest::correct(0, 1, *b"op__").with_corrupted_mac(1);
-        let witness = from_report(
-            &achilles_pbft::layout(),
-            0,
-            &TrojanReport {
-                server_path_id: 0,
-                constraints: vec![],
-                witness_fields: req.field_values(),
-                active_clients: 0,
-                verified: true,
-                found_at: Duration::ZERO,
-                notes: vec![],
-            },
-        )
-        .unwrap();
-        let result = replay(&target, &witness, &FaultPlan::none());
+        let witness = one_slot(&target, req.field_values());
+        let result = replay_session(&target, &witness, &FaultSchedule::none());
         assert_eq!(result.verdict, ReplayVerdict::ConfirmedTrojan);
         assert!(result
             .signature
@@ -670,21 +573,8 @@ mod tests {
         // AcceptedGenerable, never as a confirmed Trojan.
         let target = PbftTarget::new(ClusterConfig::default());
         let req = PbftRequest::correct(2, 9, *b"op__");
-        let witness = from_report(
-            &achilles_pbft::layout(),
-            0,
-            &TrojanReport {
-                server_path_id: 0,
-                constraints: vec![],
-                witness_fields: req.field_values(),
-                active_clients: 0,
-                verified: true,
-                found_at: Duration::ZERO,
-                notes: vec![],
-            },
-        )
-        .unwrap();
-        let result = replay(&target, &witness, &FaultPlan::none());
+        let witness = one_slot(&target, req.field_values());
+        let result = replay_session(&target, &witness, &FaultSchedule::none());
         assert_eq!(result.verdict, ReplayVerdict::AcceptedGenerable);
         assert!(result
             .signature
@@ -695,21 +585,8 @@ mod tests {
     #[test]
     fn paxos_foreign_value_confirms() {
         let target = PaxosTarget::new(5, ProposerMode::Concrete(5, 7));
-        let witness = from_report(
-            &achilles_paxos::accept_layout(),
-            0,
-            &TrojanReport {
-                server_path_id: 0,
-                constraints: vec![],
-                witness_fields: vec![ACCEPT_KIND, 5, 99],
-                active_clients: 0,
-                verified: true,
-                found_at: Duration::ZERO,
-                notes: vec![],
-            },
-        )
-        .unwrap();
-        let result = replay(&target, &witness, &FaultPlan::none());
+        let witness = one_slot(&target, vec![ACCEPT_KIND, 5, 99]);
+        let result = replay_session(&target, &witness, &FaultSchedule::none());
         assert_eq!(result.verdict, ReplayVerdict::ConfirmedTrojan);
         assert!(result
             .signature
@@ -720,21 +597,8 @@ mod tests {
     #[test]
     fn paxos_stale_ballot_rejected() {
         let target = PaxosTarget::new(10, ProposerMode::Concrete(10, 7));
-        let witness = from_report(
-            &achilles_paxos::accept_layout(),
-            0,
-            &TrojanReport {
-                server_path_id: 0,
-                constraints: vec![],
-                witness_fields: vec![ACCEPT_KIND, 3, 7],
-                active_clients: 0,
-                verified: true,
-                found_at: Duration::ZERO,
-                notes: vec![],
-            },
-        )
-        .unwrap();
-        let result = replay(&target, &witness, &FaultPlan::none());
+        let witness = one_slot(&target, vec![ACCEPT_KIND, 3, 7]);
+        let result = replay_session(&target, &witness, &FaultSchedule::none());
         assert_eq!(result.verdict, ReplayVerdict::Rejected);
     }
 }

@@ -1,206 +1,40 @@
-//! The opt-in `validate` pipeline phase: replay every discovered Trojan.
+//! The opt-in `validate` step: replay every discovered Trojan.
 //!
 //! The paper's pipeline does not stop at symbolic discovery — every
 //! candidate was validated by injecting the concrete message into a real
-//! deployment and observing the failure. This module closes that loop for
-//! the reproduction: [`validate_trojans`] concretizes each report, fires
-//! it at a [`ReplayTarget`] (fanning out over
+//! deployment and observing the failure. [`validate_session_trojans`]
+//! closes that loop for the reproduction: it concretizes each report into
+//! a [`SessionWitness`](crate::SessionWitness) split by the target's
+//! [`slot_layouts`](ReplayTarget::slot_layouts), fires it at the
+//! [`ReplayTarget`] under a fault schedule (fanning out over
 //! [`achilles_symvm::parallel_map`] when `workers > 1` — replay is a pure
 //! function of the witness, so results are identical for every worker
-//! count), dedups confirmed failures by [`CrashSignature`], and optionally
+//! count), dedups confirmed failures by [`CrashSignature`], and
 //! consults/extends a persistent [`ReplayCorpus`].
+//!
+//! One call serves both report shapes: the Trojans of an
+//! [`AchillesReport`](achilles::AchillesReport) replay as one-slot
+//! sessions against [`TargetSpec::replay_target`], those of a
+//! [`SessionReport`](achilles::SessionReport) against
+//! [`TargetSpec::session_replay_target`].
+//!
+//! [`TargetSpec::replay_target`]: achilles::TargetSpec::replay_target
+//! [`TargetSpec::session_replay_target`]: achilles::TargetSpec::session_replay_target
 
 use std::time::{Duration, Instant};
 
-use achilles::{AchillesReport, SessionReport, TrojanReport};
+use achilles::TrojanReport;
 use achilles_symvm::parallel_map;
 
 use crate::corpus::{CorpusEntry, ReplayCorpus};
-use crate::minimize::{minimize, minimize_session, MinimizedSessionWitness};
+use crate::minimize::{minimize_session, MinimizedSessionWitness};
 use crate::signature::CrashSignature;
 use crate::target::{
-    replay, replay_session, FaultPlan, FaultSchedule, ReplayResult, ReplayTarget, ReplayVerdict,
-    SessionReplayResult,
+    replay_session, FaultSchedule, ReplayTarget, ReplayVerdict, SessionReplayResult,
 };
-use crate::witness::{from_report, session_from_report};
+use crate::witness::session_from_report;
 
 /// Configuration of one validation run.
-#[derive(Clone, Copy, Debug)]
-pub struct ValidateConfig {
-    /// Worker threads for the witness fan-out (1 = inline).
-    pub workers: usize,
-    /// Network faults applied to every injection.
-    pub faults: FaultPlan,
-    /// ddmin-minimize each confirmed witness that is the first of its
-    /// signature (minimization costs `O(delta²)` replays per witness).
-    pub minimize: bool,
-}
-
-impl Default for ValidateConfig {
-    fn default() -> ValidateConfig {
-        ValidateConfig {
-            workers: 1,
-            faults: FaultPlan::none(),
-            minimize: false,
-        }
-    }
-}
-
-impl ValidateConfig {
-    /// Fan the replay out over `n` threads.
-    pub fn with_workers(mut self, n: usize) -> ValidateConfig {
-        self.workers = n.max(1);
-        self
-    }
-}
-
-/// Everything one validation pass produces.
-#[derive(Debug)]
-pub struct ValidationSummary {
-    /// Per-witness replay results, in report order (skipped witnesses are
-    /// absent).
-    pub results: Vec<ReplayResult>,
-    /// Distinct confirmed crash signatures, in first-seen order.
-    pub confirmed_signatures: Vec<CrashSignature>,
-    /// Minimized witnesses (parallel to `confirmed_signatures` when
-    /// minimization is on; empty otherwise).
-    pub minimized: Vec<crate::minimize::MinimizedWitness>,
-    /// Witnesses replayed.
-    pub replayed: usize,
-    /// Witnesses skipped because the corpus already knew their exact bytes.
-    pub skipped_known: usize,
-    /// Replays that confirmed a Trojan (accepted and ungenerable).
-    pub confirmed: usize,
-    /// Wall-clock time of the whole pass.
-    pub elapsed: Duration,
-}
-
-impl ValidationSummary {
-    /// Fraction of replayed witnesses that confirmed, in `[0, 1]`.
-    pub fn confirmation_rate(&self) -> f64 {
-        if self.replayed == 0 {
-            return 1.0;
-        }
-        self.confirmed as f64 / self.replayed as f64
-    }
-
-    /// Witnesses per second of the replay phase.
-    pub fn witnesses_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs == 0.0 {
-            return 0.0;
-        }
-        self.replayed as f64 / secs
-    }
-}
-
-/// Replays `reports` against `target`, updating `corpus` with newly
-/// confirmed Trojans.
-///
-/// Witnesses whose exact field values the corpus already contains are
-/// skipped (re-analysis of an unchanged system re-validates nothing);
-/// fresh witnesses of *known* signatures replay but do not re-enter the
-/// corpus or the minimization queue.
-pub fn validate_trojans(
-    target: &dyn ReplayTarget,
-    reports: &[TrojanReport],
-    corpus: &mut ReplayCorpus,
-    config: &ValidateConfig,
-) -> ValidationSummary {
-    let started = Instant::now();
-    let layout = target.layout();
-
-    let mut skipped_known = 0usize;
-    let witnesses: Vec<_> = reports
-        .iter()
-        .enumerate()
-        .filter_map(|(i, r)| {
-            if corpus.knows_witness(&r.witness_fields) {
-                skipped_known += 1;
-                return None;
-            }
-            Some(from_report(&layout, i, r).expect("analysis layouts are wire-encodable"))
-        })
-        .collect();
-
-    let results: Vec<ReplayResult> = parallel_map(config.workers, &witnesses, |_, w| {
-        replay(target, w, &config.faults)
-    });
-
-    let mut summary = ValidationSummary {
-        results: Vec::with_capacity(results.len()),
-        confirmed_signatures: Vec::new(),
-        minimized: Vec::new(),
-        replayed: results.len(),
-        skipped_known,
-        confirmed: 0,
-        elapsed: Duration::ZERO,
-    };
-    for result in results {
-        if result.verdict == ReplayVerdict::ConfirmedTrojan {
-            summary.confirmed += 1;
-            let first_of_signature = !corpus.knows_signature(&result.signature);
-            if first_of_signature {
-                summary.confirmed_signatures.push(result.signature.clone());
-            }
-            // Every confirmed witness enters the corpus (so re-analysis
-            // skips its exact bytes); only the first witness of a signature
-            // is worth the O(delta²) minimization.
-            let essential = if config.minimize && first_of_signature {
-                let min = minimize(target, &result.witness, &config.faults, &result.signature);
-                let essential = min.essential.clone();
-                summary.minimized.push(min);
-                essential
-            } else {
-                Vec::new()
-            };
-            corpus.insert(CorpusEntry::single(
-                result.signature.clone(),
-                result.witness.fields.clone(),
-                essential,
-            ));
-        }
-        summary.results.push(result);
-    }
-    summary.elapsed = started.elapsed();
-    summary
-}
-
-/// Runs validation as a pipeline phase over a full [`AchillesReport`],
-/// charging the wall-clock to [`PhaseTimes::validate`].
-///
-/// [`PhaseTimes::validate`]: achilles::PhaseTimes
-pub fn validate_pipeline_report(
-    target: &dyn ReplayTarget,
-    report: &mut AchillesReport,
-    corpus: &mut ReplayCorpus,
-    config: &ValidateConfig,
-) -> ValidationSummary {
-    let summary = validate_trojans(target, &report.trojans, corpus, config);
-    report.phase_times.validate = summary.elapsed;
-    summary
-}
-
-/// Replays `reports` against the concrete deployment of a
-/// [`TargetSpec`](achilles::TargetSpec) — the registry-driven form of
-/// [`validate_trojans`]: the spec's
-/// [`replay_target`](achilles::TargetSpec::replay_target) factory supplies
-/// the deployment, so callers never name a protocol.
-pub fn validate_spec(
-    spec: &dyn achilles::TargetSpec,
-    reports: &[TrojanReport],
-    corpus: &mut ReplayCorpus,
-    config: &ValidateConfig,
-) -> ValidationSummary {
-    let target = spec.replay_target();
-    validate_trojans(&*target, reports, corpus, config)
-}
-
-// ---------------------------------------------------------------------------
-// Session (multi-message) validation
-// ---------------------------------------------------------------------------
-
-/// Configuration of one session-validation run.
 #[derive(Clone, Debug, Default)]
 pub struct SessionValidateConfig {
     /// Worker threads for the witness fan-out (0/1 = inline).
@@ -220,7 +54,7 @@ impl SessionValidateConfig {
     }
 }
 
-/// Everything one session-validation pass produces.
+/// Everything one validation pass produces.
 #[derive(Debug)]
 pub struct SessionValidationSummary {
     /// Per-witness replay results, in report order (skipped witnesses are
@@ -236,7 +70,8 @@ pub struct SessionValidationSummary {
     /// Witnesses skipped because the corpus already knew their exact
     /// per-slot bytes.
     pub skipped_known: usize,
-    /// Replays that confirmed a session Trojan.
+    /// Replays that confirmed a Trojan (accepted in every slot, and some
+    /// delivered slot ungenerable).
     pub confirmed: usize,
     /// Wall-clock time of the whole pass.
     pub elapsed: Duration,
@@ -250,36 +85,51 @@ impl SessionValidationSummary {
         }
         self.confirmed as f64 / self.replayed as f64
     }
+
+    /// Witnesses per second of the replay pass.
+    pub fn witnesses_per_sec(&self) -> f64 {
+        let secs = self.elapsed.as_secs_f64();
+        if secs == 0.0 {
+            return 0.0;
+        }
+        self.replayed as f64 / secs
+    }
 }
 
-/// Replays a [`SessionReport`]'s Trojans against `target` under a fault
-/// schedule, updating `corpus` with newly confirmed session witnesses —
-/// the session analogue of [`validate_trojans`], with the same corpus
-/// incrementality (known per-slot byte sequences are skipped) and the same
-/// worker-count-invariant [`parallel_map`] fan-out.
+/// Replays `reports` against `target` under a fault schedule, updating
+/// `corpus` with newly confirmed witnesses.
+///
+/// Each report's `witness_fields` is split by the target's
+/// [`slot_layouts`](ReplayTarget::slot_layouts) — one slot for a
+/// single-message target. Witnesses whose exact per-slot field values the
+/// corpus already contains are skipped (re-analysis of an unchanged system
+/// re-validates nothing); fresh witnesses of *known* signatures replay but
+/// do not re-enter the minimization queue.
+///
+/// # Panics
+///
+/// Panics if a report's arity does not match the target's slot layouts.
 pub fn validate_session_trojans(
     target: &dyn ReplayTarget,
-    session: &SessionReport,
+    reports: &[TrojanReport],
     corpus: &mut ReplayCorpus,
     config: &SessionValidateConfig,
 ) -> SessionValidationSummary {
     let started = Instant::now();
+    let layouts = target.slot_layouts();
 
     let mut skipped_known = 0usize;
-    let witnesses: Vec<_> = session
-        .trojans
+    let witnesses: Vec<_> = reports
         .iter()
         .enumerate()
         .filter_map(|(i, r)| {
-            let slot_fields = session.split_fields(&r.witness_fields);
-            if corpus.knows_session_witness(&slot_fields) {
+            let witness =
+                session_from_report(&layouts, i, r).expect("slot layouts are wire-encodable");
+            if corpus.knows_session_witness(&witness.fields) {
                 skipped_known += 1;
                 return None;
             }
-            Some(
-                session_from_report(&session.layouts, i, r)
-                    .expect("session layouts are wire-encodable"),
-            )
+            Some(witness)
         })
         .collect();
 
@@ -325,35 +175,6 @@ pub fn validate_session_trojans(
     summary
 }
 
-/// Replays a [`SessionReport`] against the session deployment of its
-/// [`TargetSpec`](achilles::TargetSpec) — the registry-driven form of
-/// [`validate_session_trojans`]: the spec's
-/// [`session_replay_target`](achilles::TargetSpec::session_replay_target)
-/// factory supplies the deployment, so callers never name a protocol.
-pub fn validate_spec_sessions(
-    spec: &dyn achilles::TargetSpec,
-    session: &SessionReport,
-    corpus: &mut ReplayCorpus,
-    config: &SessionValidateConfig,
-) -> SessionValidationSummary {
-    let target = spec.session_replay_target(&session.session);
-    validate_session_trojans(&*target, session, corpus, config)
-}
-
-/// [`validate_spec`] over a full pipeline report, charging the wall-clock
-/// to [`PhaseTimes::validate`](achilles::PhaseTimes) — the natural tail of
-/// an [`AchillesSession`](achilles::AchillesSession) run.
-pub fn validate_session(
-    spec: &dyn achilles::TargetSpec,
-    report: &mut AchillesReport,
-    corpus: &mut ReplayCorpus,
-    config: &ValidateConfig,
-) -> ValidationSummary {
-    let summary = validate_spec(spec, &report.trojans, corpus, config);
-    report.phase_times.validate = summary.elapsed;
-    summary
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,15 +208,18 @@ mod tests {
             length_trojan(Command::Stat, 3, 2), // different class
             length_trojan(Command::DelFile, 3, 1),
         ];
+        let config = SessionValidateConfig::default();
         let mut corpus = ReplayCorpus::new();
-        let summary = validate_trojans(&target, &reports, &mut corpus, &ValidateConfig::default());
+        let summary = validate_session_trojans(&target, &reports, &mut corpus, &config);
         assert_eq!(summary.replayed, 3);
         assert_eq!(summary.confirmed, 3);
         assert!((summary.confirmation_rate() - 1.0).abs() < f64::EPSILON);
         assert_eq!(corpus.len(), 3);
+        // One-slot witnesses persist in the single-message corpus form.
+        assert!(corpus.entries().iter().all(|e| e.slot_lens.is_empty()));
 
         // Second pass over the same reports: everything is known bytes.
-        let again = validate_trojans(&target, &reports, &mut corpus, &ValidateConfig::default());
+        let again = validate_session_trojans(&target, &reports, &mut corpus, &config);
         assert_eq!(again.skipped_known, 3);
         assert_eq!(again.replayed, 0);
     }
@@ -408,11 +232,11 @@ mod tests {
             .collect();
         let collect = |workers| {
             let mut corpus = ReplayCorpus::new();
-            let summary = validate_trojans(
+            let summary = validate_session_trojans(
                 &target,
                 &reports,
                 &mut corpus,
-                &ValidateConfig::default().with_workers(workers),
+                &SessionValidateConfig::default().with_workers(workers),
             );
             summary
                 .results
@@ -428,15 +252,22 @@ mod tests {
         let target = FspTarget::new(FspServerConfig::default(), false);
         let reports = vec![length_trojan(Command::Stat, 4, 1)];
         let mut corpus = ReplayCorpus::new();
-        let config = ValidateConfig {
+        let config = SessionValidateConfig {
             minimize: true,
-            ..ValidateConfig::default()
+            ..SessionValidateConfig::default()
         };
-        let summary = validate_trojans(&target, &reports, &mut corpus, &config);
+        let summary = validate_session_trojans(&target, &reports, &mut corpus, &config);
         assert_eq!(summary.minimized.len(), 1);
-        assert_eq!(
-            corpus.entries()[0].essential,
-            summary.minimized[0].essential
-        );
+        // One slot: the corpus's flat indices are the field indices.
+        let essential: Vec<usize> = summary.minimized[0]
+            .essential
+            .iter()
+            .map(|&(slot, field)| {
+                assert_eq!(slot, 0);
+                field
+            })
+            .collect();
+        assert!(!essential.is_empty());
+        assert_eq!(corpus.entries()[0].essential, essential);
     }
 }

@@ -11,45 +11,13 @@
 use std::sync::Arc;
 
 use achilles::{TrojanReport, WireError};
-use achilles_solver::{Model, TermPool};
-use achilles_symvm::{MessageLayout, SymMessage};
+use achilles_symvm::MessageLayout;
 
 pub use achilles::target::{fields_to_wire, layout_widths, wire_to_fields};
 
-/// A fully concretized Trojan witness, ready for injection.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ConcreteWitness {
-    /// Index of the originating report in discovery order.
-    pub index: usize,
-    /// Id of the accepting server path the witness was found on.
-    pub server_path_id: usize,
-    /// Concrete field values in layout order.
-    pub fields: Vec<u64>,
-    /// Big-endian wire encoding of `fields`.
-    pub wire: Vec<u8>,
-}
-
-/// Concretizes a discovered Trojan report into an injectable witness.
-///
-/// # Errors
-///
-/// Returns a [`WireError`] if the layout cannot be wire-encoded.
-pub fn from_report(
-    layout: &Arc<MessageLayout>,
-    index: usize,
-    report: &TrojanReport,
-) -> Result<ConcreteWitness, WireError> {
-    let wire = fields_to_wire(layout, &report.witness_fields)?;
-    Ok(ConcreteWitness {
-        index,
-        server_path_id: report.server_path_id,
-        fields: report.witness_fields.clone(),
-        wire,
-    })
-}
-
-/// A fully concretized multi-message session witness: one wire buffer per
-/// session slot, ready for in-order injection.
+/// A fully concretized session witness: one wire buffer per session slot,
+/// ready for in-order injection. A single-message witness is a one-slot
+/// session.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SessionWitness {
     /// Index of the originating report in discovery order.
@@ -75,9 +43,11 @@ impl SessionWitness {
     }
 }
 
-/// Concretizes a session-Trojan report — whose `witness_fields` carry the
-/// whole session, slot fields concatenated in slot order — into per-slot
-/// injectable wire buffers.
+/// Concretizes a Trojan report — whose `witness_fields` carry the whole
+/// session, slot fields concatenated in slot order — into per-slot
+/// injectable wire buffers. A single-message report concretizes against
+/// one layout (a target's default
+/// [`slot_layouts`](achilles::ReplayTarget::slot_layouts)).
 ///
 /// # Errors
 ///
@@ -101,32 +71,6 @@ pub fn session_from_report(
     Ok(SessionWitness {
         index,
         server_path_id: report.server_path_id,
-        fields,
-        wire,
-    })
-}
-
-/// Concretizes a raw solver [`Model`] over a (possibly symbolic) server
-/// message — the path for callers that hold a satisfying model rather than
-/// a finished report (e.g. re-deriving a witness from a stored constraint
-/// set). Unassigned variables default to zero, like
-/// [`SymMessage::concretize`].
-///
-/// # Errors
-///
-/// Returns a [`WireError`] if the layout cannot be wire-encoded.
-pub fn from_model(
-    pool: &TermPool,
-    msg: &SymMessage,
-    model: &Model,
-    index: usize,
-    server_path_id: usize,
-) -> Result<ConcreteWitness, WireError> {
-    let fields = msg.concretize(pool, model);
-    let wire = fields_to_wire(msg.layout(), &fields)?;
-    Ok(ConcreteWitness {
-        index,
-        server_path_id,
         fields,
         wire,
     })
@@ -165,25 +109,13 @@ mod tests {
             found_at: std::time::Duration::ZERO,
             notes: vec![],
         };
-        let w = from_report(&l, 3, &report).unwrap();
+        let w = session_from_report(&[l], 3, &report).unwrap();
         assert_eq!(w.index, 3);
         assert_eq!(w.server_path_id, 7);
-        assert_eq!(w.fields, vec![1, 2000]);
-        assert_eq!(w.wire, vec![1, 0x07, 0xD0]);
-    }
-
-    #[test]
-    fn model_concretization_evaluates_symbolic_fields() {
-        let mut pool = TermPool::new();
-        let l = layout();
-        let msg = SymMessage::fresh(&mut pool, &l, "w");
-        let mut model = Model::new();
-        // Assign only the first field's variable; the second defaults to 0.
-        let vars = pool.vars_of(msg.value(0));
-        model.assign(vars[0], 0x42);
-        let w = from_model(&pool, &msg, &model, 0, 1).unwrap();
-        assert_eq!(w.fields, vec![0x42, 0]);
-        assert_eq!(w.wire, vec![0x42, 0, 0]);
+        assert_eq!(w.slots(), 1);
+        assert_eq!(w.fields, vec![vec![1, 2000]]);
+        assert_eq!(w.flattened_fields(), vec![1, 2000]);
+        assert_eq!(w.wire, vec![vec![1, 0x07, 0xD0]]);
     }
 
     #[test]

@@ -73,7 +73,7 @@ fn main() {
         mask: FieldMask::by_names(&l, &["signature"]),
         ..AchillesConfig::verified()
     };
-    let report = achilles.run(&client, &server, &l, &config);
+    let report = achilles.run(&[&client], &server, &l, &config);
 
     println!("client paths: {}", report.client.len());
     println!("trojans: {}", report.trojans.len());

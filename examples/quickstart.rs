@@ -14,7 +14,8 @@
 //! 1. register the spec in a [`TargetRegistry`] and select it *by name*;
 //! 2. run discovery with an [`AchillesSession`];
 //! 3. concretely confirm every finding with
-//!    [`achilles_replay::validate_spec`];
+//!    [`achilles_replay::validate_session_trojans`] (a single-message
+//!    witness is a one-slot session);
 //! 4. declare a multi-message *session* (`hello` → request) and drive the
 //!    stateful analysis + fault-scheduled replay through the same spec —
 //!    the "Declaring a session" guide made runnable;
@@ -39,8 +40,7 @@ use achilles::{
     TargetSnapshot, TargetSpec,
 };
 use achilles_replay::{
-    validate_spec, validate_spec_sessions, ReplayCorpus, ReplayVerdict, SessionValidateConfig,
-    ValidateConfig,
+    validate_session_trojans, ReplayCorpus, ReplayVerdict, SessionValidateConfig,
 };
 use achilles_solver::{render_conjunction, Width};
 use achilles_symvm::{MessageLayout, NodeProgram, PathResult, SymEnv, SymMessage};
@@ -602,13 +602,14 @@ fn main() {
     );
 
     // 3. Concretely confirm: the same registry entry supplies the
-    //    deployment, so validation is one generic call.
+    //    deployment, so validation is one generic call (each witness
+    //    replays as a one-slot session).
     let mut corpus = ReplayCorpus::new();
-    let summary = validate_spec(
-        &**spec,
+    let summary = validate_session_trojans(
+        &*spec.replay_target(),
         &report.trojans,
         &mut corpus,
-        &ValidateConfig::default(),
+        &SessionValidateConfig::default(),
     );
     assert_eq!(summary.confirmed, report.trojans.len());
     assert!(summary
@@ -654,10 +655,11 @@ fn main() {
             "the forged nonce sits in the server-only window"
         );
     }
+    let target = spec.session_replay_target(&session_report.session);
     let mut session_corpus = ReplayCorpus::new();
-    let session_summary = validate_spec_sessions(
-        &**spec,
-        session_report,
+    let session_summary = validate_session_trojans(
+        &*target,
+        &session_report.trojans,
         &mut session_corpus,
         &SessionValidateConfig::default(),
     );
@@ -680,7 +682,6 @@ fn main() {
     //    for the first witness, replay every schedule, and diff each
     //    outcome's crash signature against the fault-free baseline.
     println!("\n== fault-schedule sensitivity (mini-sweep) ==");
-    let target = spec.session_replay_target(&session_report.session);
     let witness = achilles_replay::session_from_report(
         &session_report.layouts,
         0,

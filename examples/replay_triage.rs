@@ -5,8 +5,9 @@
 //! it into a real deployment (§6.3); this example does the same against
 //! the concrete FSP server in wildcard mode, then shows what the replay
 //! engine adds on top of raw injection: crash-signature triage, ddmin
-//! witness minimization, fault-plan variations, and the persistent corpus
-//! that makes re-analysis incremental.
+//! witness minimization, fault-schedule variations, and the persistent
+//! corpus that makes re-analysis incremental. Each single-message witness
+//! replays as a one-slot session.
 //!
 //! ```text
 //! cargo run --release -p achilles-examples --example replay_triage
@@ -14,7 +15,8 @@
 
 use achilles_fsp::{run_analysis, FspAnalysisConfig, FspMessage, FspTarget};
 use achilles_replay::{
-    minimize, replay, validate_trojans, FaultPlan, ReplayCorpus, ValidateConfig,
+    minimize_session, replay_session, validate_session_trojans, DeliveryFault, FaultSchedule,
+    ReplayCorpus, SessionValidateConfig,
 };
 
 fn main() {
@@ -32,11 +34,11 @@ fn main() {
     //    minimizing the first witness of each crash signature.
     let target = FspTarget::new(config.server.clone(), config.client.glob_expansion);
     let mut corpus = ReplayCorpus::new();
-    let validate_config = ValidateConfig {
+    let validate_config = SessionValidateConfig {
         minimize: true,
-        ..ValidateConfig::default()
+        ..SessionValidateConfig::default()
     };
-    let summary = validate_trojans(&target, &result.trojans, &mut corpus, &validate_config);
+    let summary = validate_session_trojans(&target, &result.trojans, &mut corpus, &validate_config);
     println!(
         "replayed {} witnesses: {} confirmed ({:.0}%), {} distinct crash signatures",
         summary.replayed,
@@ -58,7 +60,7 @@ fn main() {
         .iter()
         .find(|m| m.strictly_shrunk())
         .expect("some witness carries incidental solver junk");
-    let msg = FspMessage::from_field_values(&shrunk.witness.fields);
+    let msg = FspMessage::from_field_values(&shrunk.witness.fields[0]);
     println!(
         "\nminimized witness: {} of {} differing fields essential ({} replays)",
         shrunk.essential.len(),
@@ -70,27 +72,28 @@ fn main() {
         msg.cmd, msg.bb_len, msg.buf
     );
 
-    // 5. Fault plans: the same witness under network faults. A single
-    //    bit-flip (the paper's S3 motivator) can arm or disarm a Trojan.
+    // 5. Fault schedules: the same witness under network faults on its
+    //    only slot. A single bit-flip (the paper's S3 motivator) can arm
+    //    or disarm a Trojan.
     let witness = &summary.results[0].witness;
-    for (label, faults) in [
-        ("fault-free", FaultPlan::none()),
+    for (label, fault) in [
+        ("fault-free", DeliveryFault::none()),
         (
             "duplicated",
-            FaultPlan {
+            DeliveryFault {
                 duplicate: true,
-                ..FaultPlan::none()
+                ..DeliveryFault::none()
             },
         ),
         (
             "dropped",
-            FaultPlan {
+            DeliveryFault {
                 drop: true,
-                ..FaultPlan::none()
+                ..DeliveryFault::none()
             },
         ),
     ] {
-        let r = replay(&target, witness, &faults);
+        let r = replay_session(&target, witness, &FaultSchedule::at(0, fault));
         println!("  witness 0 under {label}: {:?}", r.verdict);
     }
 
@@ -98,7 +101,7 @@ fn main() {
     //    second validation pass skips every known witness.
     let reloaded = ReplayCorpus::from_text(&corpus.to_text()).expect("a saved corpus parses back");
     assert_eq!(reloaded.len(), corpus.len());
-    let second = validate_trojans(&target, &result.trojans, &mut corpus, &validate_config);
+    let second = validate_session_trojans(&target, &result.trojans, &mut corpus, &validate_config);
     println!(
         "\nre-analysis: {} witnesses skipped (known bytes), {} replayed",
         second.skipped_known, second.replayed
@@ -107,10 +110,10 @@ fn main() {
 
     // Bonus: minimization is itself deterministic — re-minimizing the same
     // witness replays the same signature.
-    let again = minimize(
+    let again = minimize_session(
         &target,
         &summary.minimized[0].witness,
-        &FaultPlan::none(),
+        &FaultSchedule::none(),
         &summary.minimized[0].signature,
     );
     assert_eq!(again.essential, summary.minimized[0].essential);

@@ -92,7 +92,7 @@ fn run_quickstart(workers: usize) -> achilles::AchillesReport {
         ..AchillesConfig::verified()
     };
     achilles.run(
-        &quickstart_client,
+        &[&quickstart_client],
         &quickstart_server,
         &quickstart_layout(),
         &config,
@@ -443,7 +443,7 @@ fn capped_max_paths_pipeline_is_worker_count_invariant() {
         use achilles::TargetSpec;
         let client = spec.clients().remove(0);
         let server = spec.server();
-        let report = achilles.run(&*client, &*server, &achilles_fsp::layout(), &config);
+        let report = achilles.run(&[&*client], &*server, &achilles_fsp::layout(), &config);
         (report_keys(&report.trojans), report.server_paths)
     };
     for max_paths in [5usize, 17, 40] {

@@ -73,7 +73,7 @@ fn server(env: &mut SymEnv<'_>) -> PathResult<()> {
 #[test]
 fn working_example_full_pipeline() {
     let mut achilles = Achilles::new();
-    let report = achilles.run(&client, &server, &layout(), &AchillesConfig::verified());
+    let report = achilles.run(&[&client], &server, &layout(), &AchillesConfig::verified());
 
     // Figure 5: two client path predicates (READ and WRITE).
     assert_eq!(report.client.len(), 2);
@@ -103,7 +103,7 @@ fn working_example_full_pipeline() {
 fn pipeline_is_deterministic() {
     let run = || {
         let mut achilles = Achilles::new();
-        let report = achilles.run(&client, &server, &layout(), &AchillesConfig::verified());
+        let report = achilles.run(&[&client], &server, &layout(), &AchillesConfig::verified());
         (
             report.client.len(),
             report.trojans.len(),
@@ -141,7 +141,7 @@ fn patched_server_has_no_trojans() {
         Ok(())
     }
     let mut achilles = Achilles::new();
-    let report = achilles.run(&client, &patched, &layout(), &AchillesConfig::verified());
+    let report = achilles.run(&[&client], &patched, &layout(), &AchillesConfig::verified());
     assert_eq!(
         report.trojans.len(),
         0,
@@ -158,6 +158,6 @@ fn masked_fields_do_not_generate_reports() {
         mask: FieldMask::by_names(&l, &["address", "value"]),
         ..AchillesConfig::verified()
     };
-    let report = achilles.run(&client, &server, &l, &config);
+    let report = achilles.run(&[&client], &server, &l, &config);
     assert_eq!(report.trojans.len(), 0);
 }

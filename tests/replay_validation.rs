@@ -3,7 +3,8 @@
 //! verdict against the concrete runtime, byte-identically across
 //! `workers ∈ {1, 4}` and across two runs of the same configuration; the
 //! minimizer must strictly shrink multi-field witnesses while preserving
-//! their crash signature.
+//! their crash signature. Every single-message witness here replays as a
+//! one-slot session through the one session driver.
 
 use achilles_fsp::{
     is_trojan, run_analysis as run_fsp, Command, FspAnalysisConfig, FspMessage, FspServerConfig,
@@ -13,8 +14,8 @@ use achilles_paxos::{analyze_local_state, AcceptorMode, PaxosTarget, ProposerMod
 use achilles_pbft::run_analysis as run_pbft;
 use achilles_pbft::{PbftAnalysisConfig, PbftTarget};
 use achilles_replay::{
-    minimize, replay, validate_trojans, FaultPlan, ReplayCorpus, ReplayTarget, ReplayVerdict,
-    ValidateConfig,
+    minimize_session, replay_session, validate_session_trojans, FaultSchedule, ReplayCorpus,
+    ReplayTarget, ReplayVerdict, SessionValidateConfig, SessionWitness,
 };
 
 /// Replay key for byte-level comparison: fields, wire, verdict, signature.
@@ -26,19 +27,24 @@ fn replay_keys(
     workers: usize,
 ) -> Vec<ReplayKey> {
     let mut corpus = ReplayCorpus::new();
-    let summary = validate_trojans(
+    let summary = validate_session_trojans(
         target,
         trojans,
         &mut corpus,
-        &ValidateConfig::default().with_workers(workers),
+        &SessionValidateConfig::default().with_workers(workers),
     );
     summary
         .results
         .iter()
         .map(|r| {
+            assert_eq!(
+                r.witness.slots(),
+                1,
+                "single-message targets replay one slot"
+            );
             (
-                r.witness.fields.clone(),
-                r.witness.wire.clone(),
+                r.witness.flattened_fields(),
+                r.witness.wire.concat(),
                 r.verdict,
                 r.signature.to_line(),
             )
@@ -79,11 +85,11 @@ fn wildcard_mode_confirms_and_dedups_by_signature() {
     let result = run_fsp(&config);
     let target = FspTarget::new(config.server.clone(), config.client.glob_expansion);
     let mut corpus = ReplayCorpus::new();
-    let summary = validate_trojans(
+    let summary = validate_session_trojans(
         &target,
         &result.trojans,
         &mut corpus,
-        &ValidateConfig::default(),
+        &SessionValidateConfig::default(),
     );
     assert_eq!(summary.confirmed, result.trojans.len(), "100% confirm");
     // The four wildcard witnesses (one per exact length) share signatures
@@ -109,11 +115,11 @@ fn pbft_trojans_replay_to_recovery() {
     assert_eq!(keys1, replay_keys(&target, &result.trojans, 4));
     // Both accepting paths map to the single MAC-attack bug class.
     let mut corpus = ReplayCorpus::new();
-    validate_trojans(
+    validate_session_trojans(
         &target,
         &result.trojans,
         &mut corpus,
-        &ValidateConfig::default(),
+        &SessionValidateConfig::default(),
     );
     assert_eq!(corpus.distinct_signatures(), 1);
 }
@@ -137,15 +143,16 @@ fn minimizer_strictly_shrinks_and_preserves_signature() {
     let mut msg = FspMessage::request(Command::Stat, b"a");
     msg.bb_len = 4;
     msg.buf = [b'a', 0, b'X', b'Y'];
-    let witness = achilles_replay::ConcreteWitness {
+    let witness = SessionWitness {
         index: 0,
         server_path_id: 0,
-        fields: msg.field_values(),
-        wire: msg.to_wire(),
+        fields: vec![msg.field_values()],
+        wire: vec![msg.to_wire()],
     };
-    let full = replay(&target, &witness, &FaultPlan::none());
+    let none = FaultSchedule::none();
+    let full = replay_session(&target, &witness, &none);
     assert_eq!(full.verdict, ReplayVerdict::ConfirmedTrojan);
-    let min = minimize(&target, &witness, &FaultPlan::none(), &full.signature);
+    let min = minimize_session(&target, &witness, &none, &full.signature);
     assert!(
         min.strictly_shrunk(),
         "{} of {} fields essential",
@@ -153,7 +160,7 @@ fn minimizer_strictly_shrinks_and_preserves_signature() {
         min.original_delta.len()
     );
     // The minimized witness reproduces the signature exactly.
-    let again = replay(&target, &min.witness, &FaultPlan::none());
+    let again = replay_session(&target, &min.witness, &none);
     assert_eq!(again.signature, full.signature);
     assert_eq!(again.verdict, ReplayVerdict::ConfirmedTrojan);
 }
@@ -164,11 +171,11 @@ fn corpus_makes_revalidation_incremental_across_save_load() {
     let result = run_fsp(&config);
     let target = FspTarget::new(config.server.clone(), false);
     let mut corpus = ReplayCorpus::new();
-    let first = validate_trojans(
+    let first = validate_session_trojans(
         &target,
         &result.trojans,
         &mut corpus,
-        &ValidateConfig::default(),
+        &SessionValidateConfig::default(),
     );
     assert_eq!(first.skipped_known, 0);
     assert_eq!(first.confirmed, result.trojans.len());
@@ -178,11 +185,11 @@ fn corpus_makes_revalidation_incremental_across_save_load() {
     let mut reloaded =
         ReplayCorpus::from_text(&corpus.to_text()).expect("a saved corpus parses back");
     assert_eq!(reloaded.len(), corpus.len());
-    let second = validate_trojans(
+    let second = validate_session_trojans(
         &target,
         &result.trojans,
         &mut reloaded,
-        &ValidateConfig::default(),
+        &SessionValidateConfig::default(),
     );
     assert_eq!(second.replayed, 0);
     assert_eq!(second.skipped_known, result.trojans.len());

@@ -47,11 +47,10 @@
 //! Adding a protocol crate + one registry registration automatically puts
 //! it under this contract — that is the point of the API.
 
-use achilles::{fields_to_wire, AchillesSession, InjectionOutcome, TargetSpec};
+use achilles::{fields_to_wire, AchillesSession, InjectionOutcome, ReplayTarget, TargetSpec};
 use achilles_replay::{
-    replay, replay_session, validate_spec, validate_spec_sessions, ConcreteWitness, CrashSignature,
-    FaultPlan, FaultSchedule, ReplayCorpus, ReplayVerdict, SessionValidateConfig, SessionWitness,
-    ValidateConfig,
+    replay_session, validate_session_trojans, CrashSignature, FaultSchedule, ReplayCorpus,
+    ReplayVerdict, SessionValidateConfig, SessionWitness,
 };
 use achilles_targets::builtin_registry;
 
@@ -92,50 +91,77 @@ fn every_declared_session_meets_the_session_contract() {
     );
 }
 
+/// Checks the snapshot contract on `target`, with the per-slot benign
+/// messages standing in for the witness (so the contract costs no
+/// symbolic discovery): snapshot → mutate through the whole sequence →
+/// restore → re-deliver must be indistinguishable from a fresh
+/// [`replay_session`] under the fault-free schedule, for outcome and
+/// signature alike. A single-message target is checked as a one-slot
+/// session. Returns whether the target is snapshottable at all.
+fn snapshot_contract(label: &str, target: &dyn ReplayTarget) -> bool {
+    let Some(mut session) = target.boot_fork() else {
+        return false;
+    };
+    let layouts = target.slot_layouts();
+    let fields: Vec<Vec<u64>> = (0..layouts.len())
+        .map(|slot| target.slot_benign_fields(slot))
+        .collect();
+    let wire: Vec<Vec<u8>> = fields
+        .iter()
+        .zip(&layouts)
+        .map(|(f, layout)| {
+            fields_to_wire(layout, f)
+                .unwrap_or_else(|e| panic!("{label}: benign slot encodes: {e:?}"))
+        })
+        .collect();
+    let witness = SessionWitness {
+        index: 0,
+        server_path_id: 0,
+        fields,
+        wire: wire.clone(),
+    };
+    let fresh = replay_session(target, &witness, &FaultSchedule::none());
+
+    // Mutate the booted session through the whole benign sequence, then
+    // restore to boot state and replay it for real.
+    let snap = session.snapshot();
+    let mut scratch = InjectionOutcome::default();
+    for slot_wire in &wire {
+        session.deliver(&(slot_wire.clone(), true), &mut scratch);
+    }
+    session.finish(&mut scratch);
+    session.restore(&snap);
+    let mut outcome = InjectionOutcome::default();
+    for slot_wire in &wire {
+        session.deliver(&(slot_wire.clone(), true), &mut outcome);
+    }
+    session.finish(&mut outcome);
+    assert_eq!(
+        outcome, fresh.outcome,
+        "{label}: restored delivery must match a fresh boot's outcome"
+    );
+    let mut effects = outcome.effects.clone();
+    effects.extend(
+        fresh
+            .trojan_slots
+            .iter()
+            .map(|s| format!("trojan-slot:{s}")),
+    );
+    assert_eq!(
+        CrashSignature::for_session(target.name(), fresh.verdict, witness.slots(), effects),
+        fresh.signature,
+        "{label}: restored delivery must reproduce the fresh signature"
+    );
+    true
+}
+
 #[test]
 fn every_snapshottable_target_honors_the_snapshot_contract() {
-    // Snapshot → mutate via one delivery → restore → re-deliver must be
-    // indistinguishable from a fresh boot, for outcome and signature
-    // alike. The benign message doubles as the probe witness so the
-    // contract costs no symbolic discovery.
     let registry = builtin_registry();
-    let mut snapshottable = 0usize;
-    for spec in registry.iter() {
-        let name = spec.name();
-        let target = spec.replay_target();
-        let Some(mut session) = target.boot_fork() else {
-            continue;
-        };
-        snapshottable += 1;
-        let fields = target.benign_fields();
-        let wire = fields_to_wire(&target.layout(), &fields)
-            .unwrap_or_else(|e| panic!("{name}: benign message encodes: {e:?}"));
-        let witness = ConcreteWitness {
-            index: 0,
-            server_path_id: 0,
-            fields,
-            wire: wire.clone(),
-        };
-        let fresh = replay(&*target, &witness, &FaultPlan::none());
-
-        let snap = session.snapshot();
-        let mut scratch = InjectionOutcome::default();
-        session.deliver(&(wire.clone(), true), &mut scratch);
-        session.finish(&mut scratch);
-        session.restore(&snap);
-        let mut outcome = InjectionOutcome::default();
-        session.deliver(&(wire, true), &mut outcome);
-        session.finish(&mut outcome);
-        assert_eq!(
-            outcome, fresh.outcome,
-            "{name}: restored delivery must match a fresh boot's outcome"
-        );
-        assert_eq!(
-            CrashSignature::new(target.name(), fresh.verdict, outcome.effects.clone()),
-            fresh.signature,
-            "{name}: restored delivery must reproduce the fresh signature"
-        );
-    }
+    let snapshottable = registry
+        .iter()
+        .filter(|spec| snapshot_contract(spec.name(), &*spec.replay_target()))
+        .count();
     assert!(
         snapshottable >= 6,
         "all six shipped protocols expose snapshottable replay targets \
@@ -145,71 +171,15 @@ fn every_snapshottable_target_honors_the_snapshot_contract() {
 
 #[test]
 fn every_snapshottable_session_target_honors_the_snapshot_contract() {
-    // The session form of the contract: per-slot benign messages stand in
-    // for the witness, compared against replay_session under the
-    // fault-free schedule.
     let registry = builtin_registry();
     let mut snapshottable = 0usize;
     for spec in registry.iter() {
-        let name = spec.name();
         for declared in spec.sessions() {
-            let sname = format!("{name}/{}", declared.name);
+            let sname = format!("{}/{}", spec.name(), declared.name);
             let target = spec.session_replay_target(&declared.name);
-            let Some(mut session) = target.boot_fork() else {
-                continue;
-            };
-            snapshottable += 1;
-            let layouts = target.slot_layouts();
-            let fields: Vec<Vec<u64>> = (0..layouts.len())
-                .map(|slot| target.slot_benign_fields(slot))
-                .collect();
-            let wire: Vec<Vec<u8>> = fields
-                .iter()
-                .zip(&layouts)
-                .map(|(f, layout)| {
-                    fields_to_wire(layout, f)
-                        .unwrap_or_else(|e| panic!("{sname}: benign slot encodes: {e:?}"))
-                })
-                .collect();
-            let witness = SessionWitness {
-                index: 0,
-                server_path_id: 0,
-                fields,
-                wire: wire.clone(),
-            };
-            let fresh = replay_session(&*target, &witness, &FaultSchedule::none());
-
-            // Mutate the booted session through the whole benign
-            // sequence, then restore to boot state and replay it for
-            // real.
-            let snap = session.snapshot();
-            let mut scratch = InjectionOutcome::default();
-            for slot_wire in &wire {
-                session.deliver(&(slot_wire.clone(), true), &mut scratch);
+            if snapshot_contract(&sname, &*target) {
+                snapshottable += 1;
             }
-            session.finish(&mut scratch);
-            session.restore(&snap);
-            let mut outcome = InjectionOutcome::default();
-            for slot_wire in &wire {
-                session.deliver(&(slot_wire.clone(), true), &mut outcome);
-            }
-            session.finish(&mut outcome);
-            assert_eq!(
-                outcome, fresh.outcome,
-                "{sname}: restored session must match a fresh boot's outcome"
-            );
-            let mut effects = outcome.effects.clone();
-            effects.extend(
-                fresh
-                    .trojan_slots
-                    .iter()
-                    .map(|s| format!("trojan-slot:{s}")),
-            );
-            assert_eq!(
-                CrashSignature::for_session(target.name(), fresh.verdict, witness.slots(), effects),
-                fresh.signature,
-                "{sname}: restored session must reproduce the fresh signature"
-            );
         }
     }
     assert!(
@@ -354,10 +324,11 @@ fn session_conformance(spec: &dyn TargetSpec) {
         );
 
         // --- Concrete confirmation under the fault-free schedule. ----------
+        let target = spec.session_replay_target(&report.session);
         let mut corpus = ReplayCorpus::new();
-        let summary = validate_spec_sessions(
-            spec,
-            report,
+        let summary = validate_session_trojans(
+            &*target,
+            &report.trojans,
             &mut corpus,
             &SessionValidateConfig {
                 schedule: FaultSchedule::none(),
@@ -397,9 +368,9 @@ fn session_conformance(spec: &dyn TargetSpec) {
             corpus.entries(),
             "{sname}: session corpus text round-trip"
         );
-        let second = validate_spec_sessions(
-            spec,
-            report,
+        let second = validate_session_trojans(
+            &*target,
+            &report.trojans,
             &mut reloaded,
             &SessionValidateConfig::default(),
         );
@@ -502,12 +473,13 @@ fn conformance(spec: &dyn TargetSpec) {
     }
 
     // --- 2. Concrete confirmation. -----------------------------------------
+    // Single-message Trojans replay as one-slot sessions.
     let mut corpus = ReplayCorpus::new();
-    let summary = validate_spec(
-        spec,
+    let summary = validate_session_trojans(
+        &*target,
         &report.trojans,
         &mut corpus,
-        &ValidateConfig::default(),
+        &SessionValidateConfig::default(),
     );
     assert_eq!(summary.replayed, report.trojans.len(), "{name}: all replay");
     assert_eq!(
@@ -529,11 +501,11 @@ fn conformance(spec: &dyn TargetSpec) {
         corpus.entries(),
         "{name}: corpus text round-trip"
     );
-    let second = validate_spec(
-        spec,
+    let second = validate_session_trojans(
+        &*target,
         &report.trojans,
         &mut reloaded,
-        &ValidateConfig::default(),
+        &SessionValidateConfig::default(),
     );
     assert_eq!(second.replayed, 0, "{name}: reloaded corpus skips all");
     assert_eq!(
