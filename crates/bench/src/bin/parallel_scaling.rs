@@ -5,7 +5,7 @@
 //! `BENCH_parallel.json` (default path) so the perf trajectory is tracked
 //! from commit to commit. The sweep also asserts that every worker count
 //! finds the identical Trojan set — scaling must never buy speed with
-//! soundness.
+//! soundness — with the same number of solver queries.
 //!
 //! ```text
 //! cargo run --release -p achilles-bench --bin parallel_scaling -- --json
@@ -116,10 +116,15 @@ fn main() {
         );
     }
 
-    for ws in &witness_sets[1..] {
+    for (ws, s) in witness_sets[1..].iter().zip(&sweeps[1..]) {
         assert_eq!(
             ws, &witness_sets[0],
             "every worker count must discover the identical Trojan set"
+        );
+        assert_eq!(
+            s.solver_queries, sweeps[0].solver_queries,
+            "workers={} issued a different number of solver queries than workers=1",
+            s.workers
         );
     }
 

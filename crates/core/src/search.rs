@@ -23,6 +23,16 @@
 //! bitset with every fork the executor schedules and resumed by the run
 //! that explores the fork, so each conjunct is checked once, however many
 //! re-executions replay it (S2E gets the same effect by forking the state).
+//!
+//! Each of those checks also keeps its last satisfying model
+//! ([`LastModel`]), and the checkpoint carries the models too, keyed by
+//! variable fingerprints so a stolen fork keeps them on any worker. Before
+//! calling the solver a check evaluates the model on the conjuncts added
+//! since it was found; if they all hold, the answer is `Sat` with no search.
+//! Reuse only answers `Sat`, every observer decision only asks "is it
+//! unsat?", and witnesses are canonicalized from the query alone
+//! ([`canonical_witness_fields`]), so drops, prunes and witnesses are the
+//! same as without reuse.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -30,8 +40,8 @@ use std::time::{Duration, Instant};
 
 use achilles_solver::{Model, SatResult, Solver, TermId, TermPool, VarId};
 use achilles_symvm::{
-    Checkpoint, Executor, ExploreConfig, ExploreStats, NodeProgram, ObserverCx, PathObserver,
-    PathRecord, SymMessage, Verdict,
+    Checkpoint, Executor, ExploreConfig, ExploreStats, LastModel, NodeProgram, ObserverCx,
+    PathObserver, PathRecord, SymMessage, Verdict,
 };
 
 use crate::diff_matrix::DiffMatrix;
@@ -310,6 +320,9 @@ pub struct TrojanSearchStats {
     pub paths_pruned: u64,
     /// Witnesses that failed verification and were re-enumerated.
     pub witness_retries: u64,
+    /// Drop and Trojan-existence checks answered `Sat` by the query's last
+    /// model (carried with forks) instead of the solver.
+    pub model_reuse_hits: u64,
 }
 
 impl TrojanSearchStats {
@@ -337,6 +350,10 @@ impl TrojanSearchStats {
                 "achilles_trojan_search_witness_retries_total",
                 self.witness_retries,
             ),
+            (
+                "achilles_trojan_search_model_reuse_total",
+                self.model_reuse_hits,
+            ),
         ] {
             reg.add(Deterministic, name, &[], value);
         }
@@ -351,6 +368,10 @@ pub struct TrojanObserver<'p> {
     verify_witnesses: bool,
     active: Vec<bool>,
     active_count: usize,
+    /// Last model of each client path's drop query `pathS ∧ pathC_i`.
+    drop_models: Vec<LastModel>,
+    /// Last model of the Trojan-existence query.
+    trojan_model: LastModel,
     /// Trojans found so far (one per accepting server path with Trojans).
     pub reports: Vec<TrojanReport>,
     /// Figure 11 samples: (path length, matching predicates), one per
@@ -371,6 +392,8 @@ impl<'p> TrojanObserver<'p> {
             verify_witnesses,
             active: vec![true; n],
             active_count: n,
+            drop_models: vec![LastModel::default(); n],
+            trojan_model: LastModel::default(),
             reports: Vec::new(),
             samples: Vec::new(),
             stats: TrojanSearchStats::default(),
@@ -430,6 +453,10 @@ impl<'p> TrojanObserver<'p> {
             if !self.active[i] {
                 continue;
             }
+            if self.drop_models[i].covers(cx.pool, cx.pc, &[]) {
+                self.stats.model_reuse_hits += 1;
+                continue;
+            }
             let q = combine(
                 cx.pool,
                 &self.prepared.server_msg,
@@ -437,7 +464,9 @@ impl<'p> TrojanObserver<'p> {
                 &self.prepared.client.paths[i],
                 self.prepared.mask.indices(),
             );
-            if !cx.solver.is_unsat(cx.pool, &q) {
+            let result = cx.solver.check(cx.pool, &q);
+            self.drop_models[i].record(cx.pool, cx.pc.len(), &result);
+            if !result.is_unsat() {
                 continue;
             }
             self.active[i] = false;
@@ -453,6 +482,7 @@ impl<'p> TrojanObserver<'p> {
                     }
                     if diff.different(j, i, field) == Some(false) {
                         self.active[j] = false;
+                        self.drop_models[j].clear();
                         self.active_count -= 1;
                         self.stats.matrix_drops += 1;
                     }
@@ -729,6 +759,7 @@ pub fn run_trojan_search(
         stats.trojan_checks += observer.stats.trojan_checks;
         stats.paths_pruned += observer.stats.paths_pruned;
         stats.witness_retries += observer.stats.witness_retries;
+        stats.model_reuse_hits += observer.stats.model_reuse_hits;
         samples.extend(observer.samples);
         let mut memo = HashMap::new();
         for mut report in observer.reports {
@@ -771,10 +802,22 @@ impl PathObserver for TrojanObserver<'_> {
     fn on_path_start(&mut self) {
         self.active.iter_mut().for_each(|a| *a = true);
         self.active_count = self.active.len();
+        self.drop_models.iter_mut().for_each(LastModel::clear);
+        self.trojan_model.clear();
     }
 
+    /// The active bitset, plus the drop queries' models followed by the
+    /// Trojan query's.
     fn checkpoint(&self) -> Checkpoint {
-        Checkpoint::from_bits(self.active.iter().copied())
+        Checkpoint {
+            models: self
+                .drop_models
+                .iter()
+                .chain([&self.trojan_model])
+                .map(LastModel::carried)
+                .collect(),
+            ..Checkpoint::from_bits(self.active.iter().copied())
+        }
     }
 
     fn resume(&mut self, checkpoint: &Checkpoint) {
@@ -782,6 +825,11 @@ impl PathObserver for TrojanObserver<'_> {
             *a = checkpoint.bit(i);
         }
         self.active_count = self.active.iter().filter(|&&a| a).count();
+        let n = self.drop_models.len();
+        for (i, m) in self.drop_models.iter_mut().enumerate() {
+            *m = LastModel::resume(checkpoint.model(i));
+        }
+        self.trojan_model = LastModel::resume(checkpoint.model(n));
     }
 
     fn on_constraint(&mut self, cx: &mut ObserverCx<'_>) -> bool {
@@ -804,7 +852,15 @@ impl PathObserver for TrojanObserver<'_> {
             }
             Some(query) => {
                 self.stats.trojan_checks += 1;
-                let keep = !cx.solver.is_unsat(cx.pool, &query);
+                // The active negations only shrink along a path, so a model
+                // of the last query satisfies them all still.
+                if self.trojan_model.covers(cx.pool, cx.pc, &[]) {
+                    self.stats.model_reuse_hits += 1;
+                    return true;
+                }
+                let result = cx.solver.check(cx.pool, &query);
+                self.trojan_model.record(cx.pool, cx.pc.len(), &result);
+                let keep = !result.is_unsat();
                 if !keep {
                     self.stats.paths_pruned += 1;
                 }
@@ -897,14 +953,9 @@ mod tests {
         }
     }
 
-    fn run_pipeline(
-        opts: Optimizations,
-    ) -> (
-        TermPool,
-        PreparedClient,
-        Vec<TrojanReport>,
-        TrojanSearchStats,
-    ) {
+    /// Phases 1 and 1½: the paper client's predicate, prepared against a
+    /// symbolic server message.
+    fn prepare(opts: Optimizations) -> (TermPool, Solver, PreparedClient, ExploreConfig) {
         let mut pool = TermPool::new();
         let mut solver = Solver::new();
         // Phase 1: client predicate.
@@ -924,19 +975,37 @@ mod tests {
             FieldMask::none(),
             opts,
         );
+        (pool, solver, prepared, server_config)
+    }
+
+    fn run_pipeline(
+        opts: Optimizations,
+    ) -> (
+        TermPool,
+        PreparedClient,
+        Vec<TrojanReport>,
+        TrojanSearchStats,
+        Vec<MatchSample>,
+    ) {
+        let (mut pool, mut solver, prepared, server_config) = prepare(opts);
         // Phase 2: server analysis.
         let mut observer = TrojanObserver::new(&prepared, opts, true);
         {
             let mut exec = Executor::new(&mut pool, &mut solver, server_config);
             exec.explore_observed(&PaperServer, &mut observer);
         }
-        let TrojanObserver { reports, stats, .. } = observer;
-        (pool, prepared, reports, stats)
+        let TrojanObserver {
+            reports,
+            stats,
+            samples,
+            ..
+        } = observer;
+        (pool, prepared, reports, stats, samples)
     }
 
     #[test]
     fn finds_the_negative_address_trojan() {
-        let (_pool, prepared, reports, _stats) = run_pipeline(Optimizations::default());
+        let (_pool, prepared, reports, _stats, _samples) = run_pipeline(Optimizations::default());
         assert_eq!(prepared.client.len(), 2);
         assert_eq!(reports.len(), 1, "exactly the READ path has Trojans");
         let r = &reports[0];
@@ -952,12 +1021,12 @@ mod tests {
     #[test]
     fn non_optimized_finds_the_same_trojans() {
         let (_p1, _c1, optimized, stats_opt) = {
-            let (p, c, r, s) = run_pipeline(Optimizations::default());
+            let (p, c, r, s, _samples) = run_pipeline(Optimizations::default());
             drop((p, c));
             ((), (), r, s)
         };
         let (_p2, _c2, plain, stats_plain) = {
-            let (p, c, r, s) = run_pipeline(Optimizations::none());
+            let (p, c, r, s, _samples) = run_pipeline(Optimizations::none());
             drop((p, c));
             ((), (), r, s)
         };
@@ -971,14 +1040,102 @@ mod tests {
 
     #[test]
     fn samples_decrease_along_paths() {
-        let (_pool, _prepared, _reports, _stats) = run_pipeline(Optimizations::default());
-        // Behavioural check happens in the FSP benches; here just confirm the
-        // sample channel carries data when enabled.
+        let (_pool, prepared, _reports, _stats, samples) = run_pipeline(Optimizations::default());
+        assert_eq!(prepared.client.len(), 2);
+        assert!(!samples.is_empty(), "one sample per explored constraint");
+        assert!(
+            samples.iter().all(|s| s.matching <= 2),
+            "at most both client paths match: {samples:?}"
+        );
+        // The request branch splits READ from WRITE, so some path narrows
+        // the matching set below both client paths.
+        assert!(
+            samples.iter().any(|s| s.matching < 2),
+            "no sample narrowed: {samples:?}"
+        );
+    }
+
+    #[test]
+    fn model_reuse_is_verified_not_assumed() {
+        let opts = Optimizations::default();
+        let (mut pool, mut solver, prepared, _) = prepare(opts);
+        let msg = prepared.server_msg.values().to_vec();
+        let (req, addr) = (msg[0], msg[1]);
+        let read = prepared
+            .client
+            .paths
+            .iter()
+            .position(|p| pool.as_const(p.message.values()[0]) == Some(1))
+            .expect("a READ client path");
+        let one = pool.constant(1, Width::W8);
+        let hundred = pool.constant(100, Width::W32);
+        // The server's READ branch, then its `address < 100` check failing.
+        let is_read = pool.eq(req, one);
+        let below = pool.slt(addr, hundred);
+        let not_below = pool.not(below);
+
+        fn observe(
+            obs: &mut TrojanObserver<'_>,
+            pool: &mut TermPool,
+            solver: &mut Solver,
+            pc: &[TermId],
+        ) -> bool {
+            obs.on_constraint(&mut ObserverCx {
+                pool,
+                solver,
+                pc,
+                received: &[],
+            })
+        }
+
+        // Observe the READ branch and checkpoint: the READ predicate is still
+        // active, with a model of `pathS ∧ pathC_read` to carry.
+        let mut first = TrojanObserver::new(&prepared, opts, true);
+        first.on_path_start();
+        assert!(observe(&mut first, &mut pool, &mut solver, &[is_read]));
+        assert!(first.active[read]);
+        let checkpoint = first.checkpoint();
+        let carried = checkpoint.model(read).expect("READ drop query was sat");
+        let model = carried.model.to_model(&pool).expect("same pool");
+        assert_eq!(carried.checked, 1);
+        // The carried model fails the next conjunct (READ clients send
+        // addresses below 100).
+        assert_eq!(model.eval(&pool, not_below), Some(0));
+
+        // Resumed from the checkpoint, the failing model sends the query to
+        // the solver, which drops the READ predicate: exactly what an
+        // observer that saw the whole prefix from scratch does.
+        let pc = [is_read, not_below];
+        let mut resumed = TrojanObserver::new(&prepared, opts, true);
+        resumed.resume(&checkpoint);
+        let queries = solver.stats().queries;
+        let keep_resumed = observe(&mut resumed, &mut pool, &mut solver, &pc);
+        assert!(solver.stats().queries > queries, "the solver was consulted");
+        let mut fresh = TrojanObserver::new(&prepared, opts, true);
+        fresh.on_path_start();
+        observe(&mut fresh, &mut pool, &mut solver, &pc[..1]);
+        let keep_fresh = observe(&mut fresh, &mut pool, &mut solver, &pc);
+        assert!(!resumed.active[read], "READ dropped by the solver's Unsat");
+        assert_eq!(resumed.active, fresh.active);
+        assert_eq!(keep_resumed, keep_fresh);
+        assert_eq!(resumed.stats.direct_drops, 1);
+
+        // A conjunct the carried model does satisfy is answered by reuse,
+        // and the READ predicate stays active.
+        let value = model.value(pool.as_var(addr).unwrap()).unwrap();
+        let pinned_value = pool.constant(value, Width::W32);
+        let pinned = pool.eq(addr, pinned_value);
+        let mut reused = TrojanObserver::new(&prepared, opts, true);
+        reused.resume(&checkpoint);
+        observe(&mut reused, &mut pool, &mut solver, &[is_read, pinned]);
+        assert!(reused.active[read]);
+        assert!(reused.stats.model_reuse_hits >= 1);
+        assert_eq!(reused.stats.direct_drops, 0);
     }
 
     #[test]
     fn write_path_has_no_trojans() {
-        let (_pool, _prepared, reports, stats) = run_pipeline(Optimizations::default());
+        let (_pool, _prepared, reports, stats, _samples) = run_pipeline(Optimizations::default());
         assert!(
             !reports
                 .iter()

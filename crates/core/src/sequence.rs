@@ -12,12 +12,19 @@
 //! `¬(gen₁(m₁) ∧ … ∧ genₖ(mₖ)) = ⋁ₛ ¬genₛ(mₛ)`. Each slot gets its own
 //! client predicate and negations; the Trojan check becomes
 //! `pathS ∧ ⋁ₛ (⋀_{i active in s} negate(pathC_{s,i}))`.
+//!
+//! Like the single-message [`TrojanObserver`](crate::search::TrojanObserver),
+//! the [`SequenceObserver`] keeps the last model of each recurring check
+//! (one per slot predicate's drop query, one for the session query) and
+//! carries them with every fork, so a check the last model still satisfies
+//! costs no solver call.
 
 use std::collections::HashMap;
 
 use achilles_solver::{SatResult, Solver, TermId, TermPool};
 use achilles_symvm::{
-    Checkpoint, Executor, ExploreConfig, NodeProgram, ObserverCx, PathObserver, PathRecord, Verdict,
+    Checkpoint, Executor, ExploreConfig, LastModel, NodeProgram, ObserverCx, PathObserver,
+    PathRecord, Verdict,
 };
 
 use crate::predicate::combine;
@@ -34,6 +41,8 @@ const SESSION_SYM_SALT: u64 = 0x5345_5300; // "SES\0"
 struct SlotState {
     active: Vec<bool>,
     active_count: usize,
+    /// Last model of each client path's drop query.
+    models: Vec<LastModel>,
 }
 
 /// A [`PathObserver`] searching for session Trojans across several receive
@@ -43,6 +52,8 @@ pub struct SequenceObserver<'p> {
     slots: Vec<&'p PreparedClient>,
     opts: Optimizations,
     states: Vec<SlotState>,
+    /// Last model of the session Trojan query `pathS ∧ ⋁ₛ …`.
+    session_model: LastModel,
     /// Session Trojan reports (one per accepting server path with Trojans).
     pub reports: Vec<TrojanReport>,
     /// For each report, the slots whose message is un-generable.
@@ -59,12 +70,14 @@ impl<'p> SequenceObserver<'p> {
             .map(|p| SlotState {
                 active: vec![true; p.client.len()],
                 active_count: p.client.len(),
+                models: vec![LastModel::default(); p.client.len()],
             })
             .collect();
         SequenceObserver {
             slots,
             opts,
             states,
+            session_model: LastModel::default(),
             reports: Vec::new(),
             trojan_slots: Vec::new(),
             started: std::time::Instant::now(),
@@ -108,7 +121,7 @@ impl<'p> SequenceObserver<'p> {
             }
             let state = &mut self.states[slot];
             for i in 0..state.active.len() {
-                if !state.active[i] {
+                if !state.active[i] || state.models[i].covers(cx.pool, cx.pc, &[]) {
                     continue;
                 }
                 let q = combine(
@@ -118,7 +131,9 @@ impl<'p> SequenceObserver<'p> {
                     &prepared.client.paths[i],
                     prepared.mask.indices(),
                 );
-                if cx.solver.is_unsat(cx.pool, &q) {
+                let result = cx.solver.check(cx.pool, &q);
+                state.models[i].record(cx.pool, cx.pc.len(), &result);
+                if result.is_unsat() {
                     state.active[i] = false;
                     state.active_count -= 1;
                 }
@@ -162,23 +177,37 @@ impl PathObserver for SequenceObserver<'_> {
         for state in &mut self.states {
             state.active.iter_mut().for_each(|a| *a = true);
             state.active_count = state.active.len();
+            state.models.iter_mut().for_each(LastModel::clear);
         }
+        self.session_model.clear();
     }
 
-    /// The slots' active bitsets, concatenated in slot order.
+    /// The slots' active bitsets, concatenated in slot order; the slots'
+    /// drop-query models in the same order, then the session query's.
     fn checkpoint(&self) -> Checkpoint {
-        Checkpoint::from_bits(self.states.iter().flat_map(|s| s.active.iter().copied()))
+        Checkpoint {
+            models: self
+                .states
+                .iter()
+                .flat_map(|s| &s.models)
+                .chain([&self.session_model])
+                .map(LastModel::carried)
+                .collect(),
+            ..Checkpoint::from_bits(self.states.iter().flat_map(|s| s.active.iter().copied()))
+        }
     }
 
     fn resume(&mut self, checkpoint: &Checkpoint) {
         let mut bit = 0;
         for state in &mut self.states {
-            for a in &mut state.active {
+            for (a, m) in state.active.iter_mut().zip(&mut state.models) {
                 *a = checkpoint.bit(bit);
+                *m = LastModel::resume(checkpoint.model(bit));
                 bit += 1;
             }
             state.active_count = state.active.iter().filter(|&&a| a).count();
         }
+        self.session_model = LastModel::resume(checkpoint.model(bit));
     }
 
     fn on_constraint(&mut self, cx: &mut ObserverCx<'_>) -> bool {
@@ -191,9 +220,17 @@ impl PathObserver for SequenceObserver<'_> {
         match self.trojan_disjunction(cx.pool) {
             None => false,
             Some(d) => {
+                // Drops change the disjunction term, so the model is
+                // evaluated on the current one as well as on the new
+                // conjuncts.
+                if self.session_model.covers(cx.pool, cx.pc, &[d]) {
+                    return true;
+                }
                 let mut query = cx.pc.to_vec();
                 query.push(d);
-                !cx.solver.is_unsat(cx.pool, &query)
+                let result = cx.solver.check(cx.pool, &query);
+                self.session_model.record(cx.pool, cx.pc.len(), &result);
+                !result.is_unsat()
             }
         }
     }

@@ -9,11 +9,11 @@
 //! server-path prefix — produce the same key even though their `TermId`s
 //! differ.
 //!
-//! Satisfiable entries store the model as `(variable fingerprint, value)`
-//! pairs. A hit is translated back into the reader's pool through
-//! [`TermPool::var_by_fp`]; every variable a solver assigns occurs in the
-//! asserted terms, so the reader — which interned those terms to build the
-//! query — always knows them.
+//! Satisfiable entries store the model as a [`PortableModel`]
+//! (`(variable fingerprint, value)` pairs). A hit is translated back into
+//! the reader's pool through [`TermPool::var_by_fp`]; every variable a
+//! solver assigns occurs in the asserted terms, so the reader — which
+//! interned those terms to build the query — always knows them.
 //!
 //! Unsatisfiable entries store their [`Certificate`], and the certificate's
 //! **unsat core** feeds a second, *subsumption* tier: a query whose
@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use crate::certificate::Certificate;
-use crate::model::Model;
+use crate::model::PortableModel;
 use crate::search::SatResult;
 use crate::term::{TermId, TermPool};
 
@@ -41,8 +41,8 @@ const SHARDS: usize = 64;
 /// A query result in pool-independent form.
 #[derive(Clone, Debug)]
 enum EntryKind {
-    /// Satisfiable; the model as (variable fingerprint, value) pairs.
-    Sat(Arc<Vec<(u128, u64)>>),
+    /// Satisfiable, with its model keyed by variable fingerprints.
+    Sat(Arc<PortableModel>),
     /// Unsatisfiable, with its refutation certificate.
     Unsat(Arc<Certificate>),
     Unknown,
@@ -266,22 +266,16 @@ impl SharedCache {
         let result = match entry.kind {
             EntryKind::Unsat(cert) => SatResult::Unsat(cert),
             EntryKind::Unknown => SatResult::Unknown,
-            EntryKind::Sat(pairs) => {
-                let mut model = Model::new();
-                for &(fp, value) in pairs.iter() {
-                    match pool.var_by_fp(fp) {
-                        Some(v) => model.assign(v, value),
-                        // A variable this pool has never interned: the entry
-                        // cannot be translated, treat as a miss (sound — the
-                        // caller just solves locally).
-                        None => {
-                            self.misses.fetch_add(1, Ordering::Relaxed);
-                            return None;
-                        }
-                    }
+            EntryKind::Sat(model) => match model.to_model(pool) {
+                Some(model) => SatResult::Sat(Arc::new(model)),
+                // A variable this pool has never interned: the entry cannot
+                // be translated, treat as a miss (sound — the caller just
+                // solves locally).
+                None => {
+                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    return None;
                 }
-                SatResult::Sat(Arc::new(model))
-            }
+            },
         };
         self.hits.fetch_add(1, Ordering::Relaxed);
         if entry_epoch < self.epoch() {
@@ -333,11 +327,7 @@ impl SharedCache {
                 EntryKind::Unsat(Arc::clone(cert))
             }
             SatResult::Unknown => EntryKind::Unknown,
-            SatResult::Sat(model) => {
-                let pairs: Vec<(u128, u64)> =
-                    model.iter().map(|(v, x)| (pool.var_fp(v), x)).collect();
-                EntryKind::Sat(Arc::new(pairs))
-            }
+            SatResult::Sat(model) => EntryKind::Sat(Arc::new(PortableModel::of(pool, model))),
         };
         let entry = Entry {
             kind,
@@ -426,6 +416,7 @@ fn is_subset(a: &[u128], b: &[u128]) -> bool {
 mod tests {
     use super::*;
     use crate::certificate::ProofNode;
+    use crate::model::Model;
     use crate::width::Width;
 
     fn dummy_unsat(core: Vec<u128>) -> SatResult {

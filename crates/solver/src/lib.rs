@@ -103,7 +103,7 @@ pub use certificate::{
     ProofAuditFn, ProofNode, ProofStep,
 };
 pub use interval::{Interval, IntervalSet};
-pub use model::Model;
+pub use model::{Model, PortableModel};
 pub use pretty::{render, render_conjunction};
 pub use scoped::{ScopedSolver, ScopedStats};
 pub use search::{solve, SatResult, SearchStats, SolverConfig};

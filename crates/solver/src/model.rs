@@ -77,6 +77,65 @@ impl Model {
     }
 }
 
+/// A [`Model`] keyed by variable fingerprints ([`TermPool::var_fp`])
+/// instead of pool-local [`VarId`]s.
+///
+/// Variable ids are only meaningful in the pool that interned them, while
+/// fingerprints of tagged and base-pool variables agree across every fork of
+/// a pool. This is the form in which models cross pools: the shared query
+/// cache stores satisfiable results this way, and observer checkpoints carry
+/// their last models this way to forks that may run on another worker.
+///
+/// # Examples
+///
+/// ```
+/// use achilles_solver::{Model, PortableModel, TermPool, Width};
+///
+/// let mut base = TermPool::new();
+/// let x = base.fresh_var("x", Width::W8);
+/// let mut model = Model::new();
+/// model.assign(x, 7);
+///
+/// let portable = PortableModel::of(&base, &model);
+/// let other = base.fork(1);
+/// assert_eq!(portable.to_model(&other), Some(model));
+/// assert_eq!(portable.to_model(&TermPool::new()), None);
+/// ```
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct PortableModel {
+    /// `(variable fingerprint, value)`, sorted by fingerprint.
+    pairs: Vec<(u128, u64)>,
+}
+
+impl PortableModel {
+    /// Translates `model`, whose variables belong to `pool`.
+    pub fn of(pool: &TermPool, model: &Model) -> PortableModel {
+        let mut pairs: Vec<(u128, u64)> = model.iter().map(|(v, x)| (pool.var_fp(v), x)).collect();
+        pairs.sort_unstable();
+        PortableModel { pairs }
+    }
+
+    /// Translates back into `pool`'s variable ids; `None` if `pool` has
+    /// never interned one of the variables.
+    pub fn to_model(&self, pool: &TermPool) -> Option<Model> {
+        let mut model = Model::new();
+        for &(fp, value) in &self.pairs {
+            model.assign(pool.var_by_fp(fp)?, value);
+        }
+        Some(model)
+    }
+
+    /// Number of assigned variables.
+    pub fn len(&self) -> usize {
+        self.pairs.len()
+    }
+
+    /// Whether no variable is assigned.
+    pub fn is_empty(&self) -> bool {
+        self.pairs.is_empty()
+    }
+}
+
 impl fmt::Debug for Model {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut entries: Vec<(VarId, u64)> = self.iter().collect();
@@ -106,6 +165,29 @@ mod tests {
         m.assign(y, 28);
         assert_eq!(m.eval(&pool, s), Some(128));
         assert_eq!(m.len(), 2);
+    }
+
+    #[test]
+    fn portable_model_follows_fingerprints_not_ids() {
+        // Two forks intern the same tagged variables in opposite orders, so
+        // their ids differ while their fingerprints agree.
+        let base = TermPool::new();
+        let mut a = base.fork(1);
+        let xa = a.fresh_var_tagged("x", Width::W8, 1);
+        let ya = a.fresh_var_tagged("y", Width::W8, 2);
+        let mut b = base.fork(2);
+        let yb = b.fresh_var_tagged("y", Width::W8, 2);
+        let xb = b.fresh_var_tagged("x", Width::W8, 1);
+        assert_ne!(xa, xb);
+
+        let mut m = Model::new();
+        m.assign(xa, 3);
+        m.assign(ya, 4);
+        let portable = PortableModel::of(&a, &m);
+        assert_eq!(portable.len(), 2);
+        let back = portable.to_model(&b).expect("b knows both variables");
+        assert_eq!((back.value(xb), back.value(yb)), (Some(3), Some(4)));
+        assert!(portable.to_model(&base).is_none(), "base knows neither");
     }
 
     #[test]

@@ -979,39 +979,39 @@ impl TermPool {
     ///
     /// Returns `None` if any required variable is unassigned.
     pub fn eval_with(&self, t: TermId, lookup: &dyn Fn(VarId) -> Option<u64>) -> Option<u64> {
-        let node = self.node(t).clone();
+        let node = self.node(t);
         let w = node.width;
         let v = match node.op {
             Op::Const(v) => v,
             Op::Var(x) => lookup(x)?,
             Op::Add => {
-                let (a, b) = self.eval2(&node, lookup)?;
+                let (a, b) = self.eval2(node, lookup)?;
                 a.wrapping_add(b)
             }
             Op::Sub => {
-                let (a, b) = self.eval2(&node, lookup)?;
+                let (a, b) = self.eval2(node, lookup)?;
                 a.wrapping_sub(b)
             }
             Op::Mul => {
-                let (a, b) = self.eval2(&node, lookup)?;
+                let (a, b) = self.eval2(node, lookup)?;
                 a.wrapping_mul(b)
             }
             Op::Neg => self.eval_with(node.args[0], lookup)?.wrapping_neg(),
             Op::BitAnd => {
-                let (a, b) = self.eval2(&node, lookup)?;
+                let (a, b) = self.eval2(node, lookup)?;
                 a & b
             }
             Op::BitOr => {
-                let (a, b) = self.eval2(&node, lookup)?;
+                let (a, b) = self.eval2(node, lookup)?;
                 a | b
             }
             Op::BitXor => {
-                let (a, b) = self.eval2(&node, lookup)?;
+                let (a, b) = self.eval2(node, lookup)?;
                 a ^ b
             }
             Op::BitNot => !self.eval_with(node.args[0], lookup)?,
             Op::Shl => {
-                let (a, b) = self.eval2(&node, lookup)?;
+                let (a, b) = self.eval2(node, lookup)?;
                 if b >= 64 {
                     0
                 } else {
@@ -1019,7 +1019,7 @@ impl TermPool {
                 }
             }
             Op::Lshr => {
-                let (a, b) = self.eval2(&node, lookup)?;
+                let (a, b) = self.eval2(node, lookup)?;
                 if b >= 64 {
                     0
                 } else {
@@ -1041,24 +1041,24 @@ impl TermPool {
                 (hi << wl.bits()) | lo
             }
             Op::Eq => {
-                let (a, b) = self.eval2(&node, lookup)?;
+                let (a, b) = self.eval2(node, lookup)?;
                 u64::from(a == b)
             }
             Op::Ult => {
-                let (a, b) = self.eval2(&node, lookup)?;
+                let (a, b) = self.eval2(node, lookup)?;
                 u64::from(a < b)
             }
             Op::Ule => {
-                let (a, b) = self.eval2(&node, lookup)?;
+                let (a, b) = self.eval2(node, lookup)?;
                 u64::from(a <= b)
             }
             Op::Not => u64::from(self.eval_with(node.args[0], lookup)? == 0),
             Op::And => {
-                let (a, b) = self.eval2(&node, lookup)?;
+                let (a, b) = self.eval2(node, lookup)?;
                 u64::from(a != 0 && b != 0)
             }
             Op::Or => {
-                let (a, b) = self.eval2(&node, lookup)?;
+                let (a, b) = self.eval2(node, lookup)?;
                 u64::from(a != 0 || b != 0)
             }
             Op::Ite => {

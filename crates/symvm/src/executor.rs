@@ -14,6 +14,9 @@
 //! without notifying the observer; only conjuncts past the prefix reach
 //! [`PathObserver::on_constraint`], so each node of the exploration tree is
 //! observed once, however many runs replay it (see [`crate::observer`]).
+//! The checkpoint holds the observer's bitsets and the last models of its
+//! recurring queries, keyed by variable fingerprints, so a resumed run can
+//! answer a check its inherited model still satisfies without the solver.
 //!
 //! Re-execution trades CPU for simplicity and, combined with the
 //! deterministic variable interning in [`SymEnv`](crate::env::SymEnv), keeps

@@ -61,7 +61,7 @@ pub mod record;
 pub use env::SymEnv;
 pub use executor::{Executor, ExploreConfig, ExploreOrder};
 pub use message::{FieldDef, MessageLayout, MessageLayoutBuilder, SymMessage};
-pub use observer::{Checkpoint, NullObserver, ObserverCx, PathObserver};
+pub use observer::{CarriedModel, Checkpoint, LastModel, NullObserver, ObserverCx, PathObserver};
 pub use parallel::{parallel_map, parallel_map_with, ParallelOutcome, WorkerReport};
 pub use program::{Halt, NodeProgram, PathResult};
 pub use record::{ExploreResult, ExploreStats, PathRecord, Verdict};

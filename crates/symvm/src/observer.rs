@@ -24,8 +24,18 @@
 //! far), so that restoring the checkpoint taken at a fork point is the same
 //! as re-observing the prefix. Accumulated, cross-path output (reports,
 //! counters) is not per-path state and is never checkpointed.
+//!
+//! Observers that re-check a growing query after every conjunct can also
+//! keep the last model of each query in a [`LastModel`]: before calling the
+//! solver they evaluate it on the conjuncts it has not been checked against,
+//! and a model that satisfies them answers `Sat` without a search. The
+//! models are part of the per-path state and travel in the [`Checkpoint`]
+//! as [`CarriedModel`]s, keyed by variable fingerprints, so a fork resumed
+//! on another worker keeps them.
 
-use achilles_solver::{Solver, TermId, TermPool};
+use std::sync::Arc;
+
+use achilles_solver::{Model, PortableModel, SatResult, Solver, TermId, TermPool};
 
 use crate::message::SymMessage;
 use crate::record::PathRecord;
@@ -43,18 +53,27 @@ pub struct ObserverCx<'a> {
     pub received: &'a [SymMessage],
 }
 
-/// An observer's per-path state at a fork point, packed into words.
+/// An observer's per-path state at a fork point.
 ///
 /// Checkpoints travel with scheduled forks, including across the threads of
-/// the parallel pool, so they hold plain data: bitsets of still-active
-/// predicates, or any other fixed-size digest of the path prefix. They must
-/// not hold [`TermId`]s, which are only meaningful in the pool of the worker
-/// that took the checkpoint.
+/// the parallel pool, so they hold plain data: words (bitsets of
+/// still-active predicates, or any other fixed-size digest of the path
+/// prefix) and the last models of the observer's recurring queries, keyed
+/// by variable fingerprints. They must not hold [`TermId`]s or
+/// [`VarId`](achilles_solver::VarId)s, which are only meaningful in the pool
+/// of the worker that took the checkpoint.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Checkpoint(pub Vec<u64>);
+pub struct Checkpoint {
+    /// Fixed-size per-path state, packed into words.
+    pub words: Vec<u64>,
+    /// One entry per [`LastModel`] the observer keeps, in the observer's
+    /// own order (`None`: no model known).
+    pub models: Vec<Option<CarriedModel>>,
+}
 
 impl Checkpoint {
-    /// Packs `bits` into words, bit `i` at word `i / 64`, position `i % 64`.
+    /// Packs `bits` into words, bit `i` at word `i / 64`, position `i % 64`
+    /// (no models).
     pub fn from_bits(bits: impl IntoIterator<Item = bool>) -> Checkpoint {
         let mut words = Vec::new();
         for (i, bit) in bits.into_iter().enumerate() {
@@ -65,12 +84,115 @@ impl Checkpoint {
                 words[i / 64] |= 1 << (i % 64);
             }
         }
-        Checkpoint(words)
+        Checkpoint {
+            words,
+            models: Vec::new(),
+        }
     }
 
     /// Bit `i` as packed by [`Checkpoint::from_bits`] (`false` past the end).
     pub fn bit(&self, i: usize) -> bool {
-        self.0.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)
+        self.words
+            .get(i / 64)
+            .is_some_and(|w| w >> (i % 64) & 1 == 1)
+    }
+
+    /// Model `i` (`None` past the end).
+    pub fn model(&self, i: usize) -> Option<&CarriedModel> {
+        self.models.get(i).and_then(Option::as_ref)
+    }
+}
+
+/// A [`LastModel`] in the pool-independent form a [`Checkpoint`] carries.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CarriedModel {
+    /// Number of leading path conjuncts (`pc[..checked]`) the model is known
+    /// to satisfy.
+    pub checked: usize,
+    /// The model, shared so that cloning a checkpoint stays cheap.
+    pub model: Arc<PortableModel>,
+}
+
+/// The last satisfying model of one query an observer re-checks as the path
+/// condition grows (`pc ∧ rest`, with `rest` fixed or only weakening).
+///
+/// [`LastModel::covers`] evaluates the model on the conjuncts it has not
+/// been checked against; when all evaluate to 1 the query is satisfiable
+/// and the solver need not be called. Reuse only ever answers `Sat`, and a
+/// model is only reused after it was evaluated, never assumed.
+///
+/// The model is held as a [`PortableModel`] (what checkpoints carry) and
+/// translated into the current pool the first time it is evaluated after a
+/// [`LastModel::resume`]; a model naming a variable the pool has never
+/// interned is dropped.
+#[derive(Clone, Debug, Default)]
+pub struct LastModel {
+    carried: Option<CarriedModel>,
+    /// `carried` translated into the current pool, once needed.
+    local: Option<Arc<Model>>,
+}
+
+impl LastModel {
+    /// Whether the model satisfies `pc[checked..]` and every `extra`
+    /// conjunct (for parts of the query that may have changed since). On
+    /// success the model counts as checked against all of `pc`, which must
+    /// extend the path condition the model was last checked on.
+    pub fn covers(&mut self, pool: &TermPool, pc: &[TermId], extra: &[TermId]) -> bool {
+        let Some(carried) = &mut self.carried else {
+            return false;
+        };
+        if self.local.is_none() {
+            match carried.model.to_model(pool) {
+                Some(model) => self.local = Some(Arc::new(model)),
+                None => {
+                    self.clear();
+                    return false;
+                }
+            }
+        }
+        let model = self.local.as_deref().expect("translated above");
+        let covered = pc[carried.checked..]
+            .iter()
+            .chain(extra)
+            .all(|&t| model.eval(pool, t) == Some(1));
+        if covered {
+            carried.checked = pc.len();
+        }
+        covered
+    }
+
+    /// Records the solver's answer to the query over all of `pc` (`pc_len`
+    /// conjuncts): a `Sat` model is kept, `Unsat` and `Unknown` clear it.
+    pub fn record(&mut self, pool: &TermPool, pc_len: usize, result: &SatResult) {
+        match result {
+            SatResult::Sat(model) => {
+                self.carried = Some(CarriedModel {
+                    checked: pc_len,
+                    model: Arc::new(PortableModel::of(pool, model)),
+                });
+                self.local = Some(Arc::clone(model));
+            }
+            SatResult::Unsat(_) | SatResult::Unknown => self.clear(),
+        }
+    }
+
+    /// Forgets the model.
+    pub fn clear(&mut self) {
+        *self = LastModel::default();
+    }
+
+    /// The model in checkpoint form.
+    pub fn carried(&self) -> Option<CarriedModel> {
+        self.carried.clone()
+    }
+
+    /// Restores a model taken by [`LastModel::carried`], possibly in
+    /// another worker's pool.
+    pub fn resume(carried: Option<&CarriedModel>) -> LastModel {
+        LastModel {
+            carried: carried.cloned(),
+            local: None,
+        }
     }
 }
 
@@ -143,11 +265,12 @@ mod tests {
     fn checkpoint_bits_round_trip() {
         let bits: Vec<bool> = (0..130).map(|i| i % 3 == 0 || i == 129).collect();
         let cp = Checkpoint::from_bits(bits.iter().copied());
-        assert_eq!(cp.0.len(), 3);
+        assert_eq!(cp.words.len(), 3);
         for (i, &b) in bits.iter().enumerate() {
             assert_eq!(cp.bit(i), b, "bit {i}");
         }
         assert!(!cp.bit(500));
-        assert!(Checkpoint::from_bits(std::iter::empty()).0.is_empty());
+        assert!(Checkpoint::from_bits(std::iter::empty()).words.is_empty());
+        assert!(cp.model(0).is_none());
     }
 }

@@ -406,8 +406,9 @@ fn run_worker<O: PathObserver>(
         let _item_span = achilles_obs::span("item", "symvm");
         let item_started = Instant::now();
         stats.runs += 1;
-        // Checkpoints are plain data, so a stolen fork resumes on any
-        // worker's observer exactly as on the one that scheduled it.
+        // Checkpoints are plain data (bitsets and fingerprint-keyed
+        // models), so a stolen fork resumes on any worker's observer
+        // exactly as on the one that scheduled it.
         fork.start(&mut observer);
         let item_prefix = fork.decisions.clone();
         let mut env = SymEnv::new(

@@ -11,12 +11,18 @@
 //!   path condition);
 //! * every node of the exploration tree is notified exactly once;
 //! * the notification totals agree for every worker count.
+//!
+//! A second observer keeps a [`LastModel`] and checks that the models a
+//! checkpoint carries translate by variable fingerprint into a pool that
+//! interned the program's variables in another order.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use achilles_solver::{Solver, TermId, TermPool, Width};
 use achilles_symvm::{
-    Checkpoint, Executor, ExploreConfig, ObserverCx, PathObserver, PathRecord, PathResult, SymEnv,
+    CarriedModel, Checkpoint, Executor, ExploreConfig, LastModel, ObserverCx, PathObserver,
+    PathRecord, PathResult, SymEnv,
 };
 
 const ROOT: u64 = 0xCBF2_9CE4_8422_2325;
@@ -52,11 +58,14 @@ impl PathObserver for FoldObserver {
     }
 
     fn checkpoint(&self) -> Checkpoint {
-        Checkpoint(vec![self.state])
+        Checkpoint {
+            words: vec![self.state],
+            ..Checkpoint::default()
+        }
     }
 
     fn resume(&mut self, checkpoint: &Checkpoint) {
-        self.state = checkpoint.0[0];
+        self.state = checkpoint.words[0];
     }
 
     fn on_constraint(&mut self, cx: &mut ObserverCx<'_>) -> bool {
@@ -208,4 +217,98 @@ fn resumed_state_matches_prefix_with_capped_budgets() {
     for (max_paths, max_runs) in [(5, usize::MAX), (usize::MAX, 9), (3, 7)] {
         check(max_paths, max_runs);
     }
+}
+
+/// Keeps the last model of the path condition itself and records, at every
+/// path end, the checkpoint it would hand a fork scheduled there.
+#[derive(Debug, Default)]
+struct ModelObserver {
+    last: LastModel,
+    ends: Vec<(Vec<TermId>, Checkpoint)>,
+}
+
+impl PathObserver for ModelObserver {
+    fn on_path_start(&mut self) {
+        self.last.clear();
+    }
+
+    fn checkpoint(&self) -> Checkpoint {
+        Checkpoint {
+            models: vec![self.last.carried()],
+            ..Checkpoint::default()
+        }
+    }
+
+    fn resume(&mut self, checkpoint: &Checkpoint) {
+        self.last = LastModel::resume(checkpoint.model(0));
+    }
+
+    fn on_constraint(&mut self, cx: &mut ObserverCx<'_>) -> bool {
+        if !self.last.covers(cx.pool, cx.pc, &[]) {
+            let result = cx.solver.check(cx.pool, cx.pc);
+            self.last.record(cx.pool, cx.pc.len(), &result);
+        }
+        true
+    }
+
+    fn on_path_end(&mut self, _cx: &mut ObserverCx<'_>, record: &PathRecord) {
+        self.ends
+            .push((record.constraints.clone(), self.checkpoint()));
+    }
+}
+
+#[test]
+fn carried_models_translate_by_fingerprint() {
+    let base = TermPool::new();
+    let mut pool = base.fork(1);
+    let mut solver = Solver::new();
+    let mut observer = ModelObserver::default();
+    Executor::new(&mut pool, &mut solver, ExploreConfig::default())
+        .explore_observed(&program, &mut observer);
+    assert!(!observer.ends.is_empty());
+
+    let mut ids_differ = false;
+    for (pc, checkpoint) in &observer.ends {
+        let carried = checkpoint.model(0).expect("every kept path has a model");
+        assert_eq!(carried.checked, pc.len());
+        // Another worker's pool, which meets the path's `sym()` variables
+        // in reverse order (importing the conjuncts last to first): its
+        // variable ids differ from this pool's, the fingerprints agree.
+        let mut other = base.fork(2);
+        let mut memo = HashMap::new();
+        let mut other_pc: Vec<TermId> = pc
+            .iter()
+            .rev()
+            .map(|&t| other.import_term(&pool, t, &mut memo))
+            .collect();
+        other_pc.reverse();
+
+        let here = carried.model.to_model(&pool).expect("the model's own pool");
+        let there = carried
+            .model
+            .to_model(&other)
+            .expect("every variable imported");
+        for (v, value) in here.iter() {
+            let w = other.var_by_fp(pool.var_fp(v)).expect("same fingerprint");
+            ids_differ |= v != w;
+            assert_eq!(there.value(w), Some(value));
+        }
+
+        // Resumed there and evaluated on the whole path condition, the
+        // model still satisfies it; it does not satisfy the path's last
+        // branch flipped.
+        let from_scratch = CarriedModel {
+            checked: 0,
+            model: Arc::clone(&carried.model),
+        };
+        let mut resumed = LastModel::resume(Some(&from_scratch));
+        assert!(resumed.covers(&other, &other_pc, &[]));
+        let flipped = other.not(*other_pc.last().expect("non-empty path"));
+        let mut resumed = LastModel::resume(Some(carried));
+        assert!(!resumed.covers(&other, &other_pc, &[flipped]));
+    }
+    assert!(
+        ids_differ,
+        "the other pool interned the variables in another order"
+    );
 }
