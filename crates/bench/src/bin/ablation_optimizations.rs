@@ -20,9 +20,9 @@
 
 use std::time::{Duration, Instant};
 
-use achilles::{a_posteriori_diff, prepare_client, FieldMask, Optimizations};
+use achilles::{a_posteriori_diff, prepare_client, AchillesSession, FieldMask, Optimizations};
 use achilles_bench::{fmt_secs, header, row, workers_from_args};
-use achilles_fsp::{run_analysis_with, FspAnalysisConfig, FspServer};
+use achilles_fsp::{FspServer, FspSpec};
 use achilles_solver::{Solver, TermPool};
 use achilles_symvm::{ExploreConfig, SymMessage};
 
@@ -35,33 +35,33 @@ struct Run {
 }
 
 fn incremental(opts: Optimizations, depth: usize) -> Run {
-    let mut pool = TermPool::new();
-    let mut solver = Solver::new();
-    let mut config = FspAnalysisConfig::accuracy().with_workers(workers_from_args());
-    config.optimizations = opts;
-    config.server.post_parse_branching = depth;
+    let mut spec = FspSpec::accuracy();
+    spec.server.post_parse_branching = depth;
+    let mut session = AchillesSession::new(&spec)
+        .workers(workers_from_args())
+        .optimizations(opts);
     let started = Instant::now();
-    let result = run_analysis_with(&mut pool, &mut solver, &config);
+    let result = session.run();
     Run {
         trojans: result.trojans.len(),
         time: started.elapsed(),
         direct_drops: result.search_stats.direct_drops,
         matrix_drops: result.search_stats.matrix_drops,
-        paths_pruned: result.explore_stats.pruned as u64,
+        paths_pruned: result.server_explore.pruned as u64,
     }
 }
 
 fn a_posteriori(depth: usize) -> (usize, usize, Duration) {
     let mut pool = TermPool::new();
     let mut solver = Solver::new();
-    let mut config = FspAnalysisConfig::accuracy();
-    config.server.post_parse_branching = depth;
+    let mut spec = FspSpec::accuracy();
+    spec.server.post_parse_branching = depth;
     let started = Instant::now();
     let client = achilles_fsp::extract_client_predicate(
         &mut pool,
         &mut solver,
-        &config.commands,
-        &config.client,
+        &spec.commands,
+        &spec.client,
         &ExploreConfig::default(),
     );
     let server_msg = SymMessage::fresh(&mut pool, &achilles_fsp::layout(), "msg");
@@ -76,7 +76,7 @@ fn a_posteriori(depth: usize) -> (usize, usize, Duration) {
     let result = a_posteriori_diff(
         &mut pool,
         &mut solver,
-        &FspServer::new(config.server.clone()),
+        &FspServer::new(spec.server.clone()),
         &prepared,
         &ExploreConfig::default(),
     );

@@ -16,8 +16,9 @@
 //! With `--validate`, the discovered Trojans (wildcard family included) are
 //! replayed against the concrete FSP deployment.
 
+use achilles::AchillesSession;
 use achilles_bench::{arg_present, bar, header, row, validate_findings, workers_from_args};
-use achilles_fsp::{run_analysis, FspAnalysisConfig};
+use achilles_fsp::FspSpec;
 use std::collections::BTreeMap;
 
 fn main() {
@@ -25,8 +26,8 @@ fn main() {
     header(&format!(
         "Figure 11 — matching client path predicates vs server path length (FSP, {workers} worker(s))"
     ));
-    let config = FspAnalysisConfig::wildcard().with_workers(workers);
-    let result = run_analysis(&config);
+    let spec = FspSpec::wildcard();
+    let result = AchillesSession::new(&spec).workers(workers).run();
     println!("{}", row("client path predicates", result.client.len()));
     println!("{}", row("samples collected", result.samples.len()));
 
@@ -69,7 +70,6 @@ fn main() {
     );
 
     if arg_present("--validate") {
-        let spec = achilles_fsp::FspSpec::new(config.clone());
         let summary = validate_findings(&spec, &result.trojans, workers);
         assert_eq!(
             summary.confirmed,

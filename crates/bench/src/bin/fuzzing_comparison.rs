@@ -7,8 +7,9 @@
 //! cargo run --release -p achilles-bench --bin fuzzing_comparison
 //! ```
 
+use achilles::AchillesSession;
 use achilles_bench::{arg_present, fmt_secs, header, row, validate_findings};
-use achilles_fsp::{expected_length_mismatch_trojans, run_analysis, FspAnalysisConfig};
+use achilles_fsp::{expected_length_mismatch_trojans, FspSpec};
 use achilles_fuzz::{expectation, run_campaign, FuzzConfig};
 
 fn main() {
@@ -81,8 +82,9 @@ fn main() {
     );
 
     // Achilles on the same protocol and bounds.
-    let a = run_analysis(&FspAnalysisConfig::accuracy());
-    let total = a.client_time + a.preprocess_time + a.server_time;
+    let spec = FspSpec::accuracy();
+    let a = AchillesSession::new(&spec).run();
+    let total = a.phase_times.total();
     println!("{}", row("Achilles: Trojans found", a.trojans.len()));
     println!("{}", row("Achilles: total analysis time", fmt_secs(total)));
 
@@ -127,7 +129,6 @@ fn main() {
     // Replay-validate Achilles' findings: fuzzing found zero real Trojans,
     // while every symbolic finding reproduces as a concrete failure.
     if arg_present("--validate") {
-        let spec = achilles_fsp::FspSpec::accuracy();
         let summary = validate_findings(&spec, &a.trojans, 1);
         assert_eq!(
             summary.confirmed,

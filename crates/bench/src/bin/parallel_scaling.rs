@@ -13,11 +13,12 @@
 
 use std::time::Instant;
 
+use achilles::AchillesSession;
 use achilles_bench::{
     arg_present, arg_value, bar, fmt_secs, header, host_cores, row, trace_path_from_args,
     write_trace,
 };
-use achilles_fsp::{run_analysis, FspAnalysisConfig};
+use achilles_fsp::FspSpec;
 
 struct Sweep {
     workers: usize,
@@ -58,15 +59,15 @@ fn main() {
         achilles_proofcheck::install_audit_from_env();
     }
 
+    let mut spec = FspSpec::accuracy();
+    spec.server.post_parse_branching = POST_PARSE_BRANCHING;
     let sweep_counts = [1usize, 2, 4, 8];
     let mut sweeps: Vec<Sweep> = Vec::new();
     let mut witness_sets: Vec<Vec<Vec<u64>>> = Vec::new();
     for &workers in &sweep_counts {
-        let mut config = FspAnalysisConfig::accuracy().with_workers(workers);
-        config.server.post_parse_branching = POST_PARSE_BRANCHING;
         let (_, audit_wall_before) = achilles_solver::proof_audit_stats();
         let started = Instant::now();
-        let result = run_analysis(&config);
+        let result = AchillesSession::new(&spec).workers(workers).run();
         let wall = started.elapsed();
         let (_, audit_wall_after) = achilles_solver::proof_audit_stats();
         witness_sets.push(
@@ -77,22 +78,22 @@ fn main() {
                 .collect(),
         );
         let busy: f64 = result
-            .worker_stats
+            .server_workers
             .iter()
             .map(|w| w.busy.as_secs_f64())
             .sum();
-        let server_s = result.server_time.as_secs_f64();
+        let server_s = result.phase_times.server.as_secs_f64();
         sweeps.push(Sweep {
             workers,
-            workers_effective: result.explore_stats.workers_effective.max(1),
+            workers_effective: result.server_explore.workers_effective.max(1),
             wall_s: wall.as_secs_f64(),
             server_s,
             trojans: result.trojans.len(),
-            steals: result.explore_stats.steals,
-            shared_hits: result.explore_stats.shared_cache_hits,
-            solver_queries: result.worker_stats.iter().map(|w| w.queries).sum(),
-            certified_unsat: result.explore_stats.certified_unsat,
-            core_subsumption_hits: result.explore_stats.core_subsumption_hits,
+            steals: result.server_explore.steals,
+            shared_hits: result.server_explore.shared_cache_hits,
+            solver_queries: result.server_workers.iter().map(|w| w.queries).sum(),
+            certified_unsat: result.server_explore.certified_unsat,
+            core_subsumption_hits: result.server_explore.core_subsumption_hits,
             proof_check_wall_s: (audit_wall_after - audit_wall_before).as_secs_f64(),
             efficiency: (busy / (server_s.max(1e-9) * workers as f64)).min(1.0),
         });
@@ -104,12 +105,12 @@ fn main() {
                     "{} total / {} server, {} trojans, {} steals, {} shared hits, \
                      {} certified unsat ({} subsumed), {:.0}% eff",
                     fmt_secs(wall),
-                    format_args!("{:.3}s", result.server_time.as_secs_f64()),
+                    format_args!("{server_s:.3}s"),
                     result.trojans.len(),
-                    result.explore_stats.steals,
-                    result.explore_stats.shared_cache_hits,
-                    result.explore_stats.certified_unsat,
-                    result.explore_stats.core_subsumption_hits,
+                    result.server_explore.steals,
+                    result.server_explore.shared_cache_hits,
+                    result.server_explore.certified_unsat,
+                    result.server_explore.core_subsumption_hits,
                     sweeps.last().expect("just pushed").efficiency * 100.0,
                 )
             )

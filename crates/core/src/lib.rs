@@ -313,8 +313,7 @@
 //! The server analysis scales across cores when
 //! [`ExploreConfig::workers`](achilles_symvm::ExploreConfig::workers) is
 //! raised above one (`AchillesConfig::server_explore.workers`, or
-//! `with_workers` on the FSP/PBFT analysis configs). The design, bottom to
-//! top:
+//! [`AchillesSession::workers`]). The design, bottom to top:
 //!
 //! * **Unit of work.** The executor schedules paths as *decision prefixes*
 //!   and re-executes the node program from the start for each one, so every

@@ -1,12 +1,6 @@
 //! The builder-style front door: [`AchillesSession`] runs the pipeline
 //! against a [`TargetSpec`], and [`TargetRegistry`] selects specs by name.
-//!
-//! Before this API, every driver (bench bins, examples, tests) hand-wired
-//! the pipeline per protocol: build the client programs, extract and merge
-//! predicates, create the symbolic server message, call
-//! [`run_trojan_search`](crate::run_trojan_search), then match on the
-//! protocol again to boot a replay deployment. A session replaces all of
-//! that with
+//! It is the one way to analyze a protocol:
 //!
 //! ```text
 //! let registry = builtin_registry();            // assembled once, elsewhere
@@ -14,7 +8,7 @@
 //! let report = AchillesSession::new(&**spec).workers(4).run();
 //! ```
 //!
-//! and validation becomes
+//! and validation is
 //! `achilles_replay::validate_session_trojans(&*spec.replay_target(), …)`.
 //! Protocols join by implementing [`TargetSpec`] and registering — no
 //! driver changes.
@@ -101,9 +95,9 @@ impl TargetRegistry {
 
 /// A builder-style pipeline run over one [`TargetSpec`].
 ///
-/// The session owns the engine (pool + solver), starts from the spec's
-/// [`TargetSpec::analysis_config`], and exposes the common knobs as
-/// chainable setters. [`AchillesSession::run`] executes client predicate
+/// The session owns the engine (pool + solver), starts from
+/// [`AchillesConfig::verified`] with the spec's [`TargetSpec::mask`], and
+/// exposes the common knobs as chainable setters. [`AchillesSession::run`] executes client predicate
 /// extraction (merging every client program of the spec), pre-processing,
 /// and the server Trojan search; the engine stays available afterwards for
 /// rendering witnesses or issuing custom queries.
@@ -175,21 +169,16 @@ impl fmt::Debug for AchillesSession<'_> {
 }
 
 impl<'s> AchillesSession<'s> {
-    /// A session over `spec`, configured with the spec's
-    /// [`TargetSpec::analysis_config`] and [`TargetSpec::mask`].
-    ///
-    /// [`TargetSpec::mask`] fills the mask only when
-    /// [`TargetSpec::analysis_config`] left it empty, so a spec that sets
-    /// [`AchillesConfig::mask`] directly is honored too (the two hooks
-    /// never silently shadow each other).
+    /// A session over `spec`: witness verification on, default
+    /// optimizations and exploration limits, one worker, and the spec's
+    /// [`TargetSpec::mask`].
     pub fn new(spec: &'s dyn TargetSpec) -> AchillesSession<'s> {
-        let mut config = spec.analysis_config();
-        if config.mask.indices().is_empty() {
-            config.mask = spec.mask();
-        }
         AchillesSession {
             spec,
-            config,
+            config: AchillesConfig {
+                mask: spec.mask(),
+                ..AchillesConfig::verified()
+            },
             engine: Achilles::new(),
         }
     }

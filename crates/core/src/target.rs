@@ -33,7 +33,6 @@ use achilles_netsim::bytes::{decode_fields, encode_fields};
 use achilles_symvm::{MessageLayout, NodeProgram};
 
 use crate::diverge::StateRoot;
-use crate::pipeline::AchillesConfig;
 use crate::predicate::FieldMask;
 use crate::report::TrojanReport;
 
@@ -429,13 +428,6 @@ pub trait TargetSpec: Send + Sync {
         FieldMask::none()
     }
 
-    /// The pipeline configuration this protocol is normally analyzed with
-    /// (verification on by default). [`AchillesSession`](crate::AchillesSession)
-    /// starts from this and lets callers override knobs.
-    fn analysis_config(&self) -> AchillesConfig {
-        AchillesConfig::verified()
-    }
-
     /// The local-state modes this spec's analysis supports.
     fn local_state_modes(&self) -> Vec<LocalStateMode> {
         vec![LocalStateMode::Concrete]
@@ -606,7 +598,7 @@ mod tests {
         let spec = KvSpec;
         assert_eq!(spec.local_state_modes(), vec![LocalStateMode::Concrete]);
         assert_eq!(spec.expected_trojans(), None);
-        assert!(spec.analysis_config().verify_witnesses);
+        assert!(crate::AchillesSession::new(&spec).config().verify_witnesses);
         assert!(spec.description().is_empty());
     }
 }

@@ -1,9 +1,10 @@
 //! The FSP [`TargetSpec`]: one registration point from discovery to replay.
 //!
-//! [`FspSpec`] wraps an [`FspAnalysisConfig`] and exposes the eight client
-//! utilities, the server program, and the concrete deployment factory
-//! through the protocol-agnostic trait, so registry-driven tooling
-//! (`--target fsp`) runs the §6.2 analysis without naming FSP in code.
+//! [`FspSpec`] names the analyzed utilities and the client and server
+//! configurations, and exposes the client programs, the server program,
+//! and the concrete deployment factory through the protocol-agnostic
+//! trait, so registry-driven tooling (`--target fsp`) runs the §6.2
+//! analysis without naming FSP in code.
 //! [`FspTarget`] is the concrete deployment the factory boots: a stateful
 //! server endpoint over [`Network`]/[`SimFs`], previously hand-assembled
 //! inside the replay harness.
@@ -11,14 +12,14 @@
 use std::sync::Arc;
 
 use achilles::{
-    wire_to_fields, AchillesConfig, Delivery, InjectionOutcome, ReplayTarget, SessionSlot,
-    SessionSpec, SnapshotReplayTarget, TargetSnapshot, TargetSpec, TrojanReport,
+    wire_to_fields, Delivery, InjectionOutcome, ReplayTarget, SessionSlot, SessionSpec,
+    SnapshotReplayTarget, TargetSnapshot, TargetSpec, TrojanReport,
 };
 use achilles_netsim::{Addr, Network, SimFs};
-use achilles_symvm::{ExploreConfig, MessageLayout, NodeProgram};
+use achilles_symvm::{MessageLayout, NodeProgram};
 
-use crate::analysis::{classify, expected_length_mismatch_trojans, FspAnalysisConfig};
-use crate::client::FspClient;
+use crate::analysis::{classify, expected_length_mismatch_trojans};
+use crate::client::{FspClient, FspClientConfig};
 use crate::oracle::client_can_generate;
 use crate::protocol::{layout, Command, FspMessage};
 use crate::runtime::FspServerRuntime;
@@ -257,30 +258,55 @@ impl SnapshotReplayTarget for FspForkSession {
 
 /// The FSP protocol as a [`TargetSpec`].
 ///
-/// Wraps an [`FspAnalysisConfig`]: the spec's client programs are the
-/// configured utilities, the server carries the configured patch toggles,
-/// and the replay factory boots an [`FspTarget`] mirroring both.
-#[derive(Clone, Debug, Default)]
+/// The spec's client programs are the configured utilities, the server
+/// carries the configured patch toggles, and the replay factory boots an
+/// [`FspTarget`] mirroring both. The default is the §6.2 accuracy setup.
+#[derive(Clone, Debug)]
 pub struct FspSpec {
-    /// The analysis configuration this spec describes.
-    pub analysis: FspAnalysisConfig,
+    /// Utilities/commands analyzed (default: the paper's eight).
+    pub commands: Vec<Command>,
+    /// Client-side config (glob expansion on/off).
+    pub client: FspClientConfig,
+    /// Server-side config (bug patches for control experiments).
+    pub server: FspServerConfig,
+}
+
+impl Default for FspSpec {
+    fn default() -> FspSpec {
+        FspSpec {
+            commands: Command::ANALYSIS_SET.to_vec(),
+            client: FspClientConfig::default(),
+            server: FspServerConfig::default(),
+        }
+    }
 }
 
 impl FspSpec {
-    /// A spec over `analysis`.
-    pub fn new(analysis: FspAnalysisConfig) -> FspSpec {
-        FspSpec { analysis }
-    }
-
-    /// The §6.2 accuracy setup (eight utilities, the 80 mismatched-length
-    /// classes) — the registry default.
+    /// The §6.2 accuracy setup: eight utilities, no glob modeling (isolates
+    /// the 80 mismatched-length classes) — the registry default.
     pub fn accuracy() -> FspSpec {
-        FspSpec::new(FspAnalysisConfig::accuracy())
+        FspSpec::default()
     }
 
-    /// The §6.3 wildcard setup (glob expansion modeled).
+    /// The §6.3 wildcard setup: glob expansion modeled, so literal `*`
+    /// becomes un-generable and the wildcard family appears.
     pub fn wildcard() -> FspSpec {
-        FspSpec::new(FspAnalysisConfig::wildcard())
+        FspSpec {
+            client: FspClientConfig {
+                glob_expansion: true,
+                ..FspClientConfig::default()
+            },
+            ..FspSpec::default()
+        }
+    }
+
+    /// Restricts the analysis to `n` commands (smaller, faster runs).
+    pub fn with_commands(mut self, n: usize) -> FspSpec {
+        self.commands.truncate(n.max(1));
+        // The server must dispatch the same subset or client messages for
+        // missing commands would all become trivially Trojan.
+        self.server.commands = self.commands.clone();
+        self
     }
 
     /// The utilities the login→command session exercises: a two-command
@@ -288,8 +314,8 @@ impl FspSpec {
     /// × command tree) proportionate while still covering both Trojan
     /// families.
     pub fn session_commands(&self) -> &[Command] {
-        let n = self.analysis.commands.len().min(2);
-        &self.analysis.commands[..n]
+        let n = self.commands.len().min(2);
+        &self.commands[..n]
     }
 }
 
@@ -307,41 +333,25 @@ impl TargetSpec for FspSpec {
     }
 
     fn clients(&self) -> Vec<Box<dyn NodeProgram + Sync + '_>> {
-        self.analysis
-            .commands
+        self.commands
             .iter()
             .map(|&cmd| {
-                Box::new(FspClient::new(cmd, self.analysis.client.clone()))
-                    as Box<dyn NodeProgram + Sync>
+                Box::new(FspClient::new(cmd, self.client.clone())) as Box<dyn NodeProgram + Sync>
             })
             .collect()
     }
 
     fn server(&self) -> Box<dyn NodeProgram + Sync + '_> {
-        Box::new(FspServer::new(self.analysis.server.clone()))
-    }
-
-    fn analysis_config(&self) -> AchillesConfig {
-        AchillesConfig {
-            optimizations: self.analysis.optimizations,
-            verify_witnesses: self.analysis.verify_witnesses,
-            server_explore: ExploreConfig {
-                workers: self.analysis.workers.max(1),
-                ..ExploreConfig::default()
-            },
-            ..AchillesConfig::default()
-        }
+        Box::new(FspServer::new(self.server.clone()))
     }
 
     fn expected_trojans(&self) -> Option<usize> {
         // Exact only for the parse-only length-mismatch model; wildcard
         // runs add one report per exact-length accepting path.
-        if self.analysis.client.glob_expansion {
+        if self.client.glob_expansion {
             None
         } else {
-            Some(expected_length_mismatch_trojans(
-                self.analysis.commands.len(),
-            ))
+            Some(expected_length_mismatch_trojans(self.commands.len()))
         }
     }
 
@@ -355,8 +365,8 @@ impl TargetSpec for FspSpec {
 
     fn replay_target(&self) -> Box<dyn ReplayTarget> {
         Box::new(FspTarget::new(
-            self.analysis.server.clone(),
-            self.analysis.client.glob_expansion,
+            self.server.clone(),
+            self.client.glob_expansion,
         ))
     }
 
@@ -381,8 +391,7 @@ impl TargetSpec for FspSpec {
     fn session_clients(&self) -> Vec<Box<dyn NodeProgram + Sync + '_>> {
         let mut clients: Vec<Box<dyn NodeProgram + Sync + '_>> = vec![Box::new(FspLoginClient)];
         clients.extend(self.session_commands().iter().map(|&cmd| {
-            Box::new(FspClient::new(cmd, self.analysis.client.clone()))
-                as Box<dyn NodeProgram + Sync>
+            Box::new(FspClient::new(cmd, self.client.clone())) as Box<dyn NodeProgram + Sync>
         }));
         clients
     }
@@ -390,7 +399,7 @@ impl TargetSpec for FspSpec {
     fn session_server(&self, _name: &str) -> Box<dyn NodeProgram + Sync + '_> {
         Box::new(FspSessionServer::new(FspServerConfig {
             commands: self.session_commands().to_vec(),
-            ..self.analysis.server.clone()
+            ..self.server.clone()
         }))
     }
 
@@ -398,9 +407,9 @@ impl TargetSpec for FspSpec {
         Box::new(FspSessionTarget::new(
             FspServerConfig {
                 commands: self.session_commands().to_vec(),
-                ..self.analysis.server.clone()
+                ..self.server.clone()
             },
-            self.analysis.client.glob_expansion,
+            self.client.glob_expansion,
         ))
     }
 }
@@ -413,25 +422,58 @@ mod tests {
 
     #[test]
     fn spec_session_matches_the_legacy_pipeline() {
-        // Pin the session against `run_analysis_with` — the original
-        // hand-wired pipeline, which still ships independently — so a
-        // behavioral divergence in `AchillesSession` cannot hide behind
-        // the session-backed `run_analysis` shim.
-        let config = FspAnalysisConfig::accuracy().with_commands(2);
+        // Pin the session against the original hand-wired pipeline
+        // (client predicate → preprocess → server search on a fresh pool
+        // and solver), rebuilt inline so a behavioral divergence in
+        // `AchillesSession` cannot hide.
+        let spec = FspSpec::accuracy().with_commands(2);
         let direct = {
-            let mut pool = achilles_solver::TermPool::new();
-            let mut solver = achilles_solver::Solver::new();
-            crate::analysis::run_analysis_with(&mut pool, &mut solver, &config)
+            use crate::client::extract_client_predicate;
+            use achilles::{prepare_client_workers, run_trojan_search, FieldMask, Optimizations};
+            use achilles_solver::{Solver, TermPool};
+            use achilles_symvm::{ExploreConfig, SymMessage};
+
+            let mut pool = TermPool::new();
+            let mut solver = Solver::new();
+            let client = extract_client_predicate(
+                &mut pool,
+                &mut solver,
+                &spec.commands,
+                &spec.client,
+                &ExploreConfig::default(),
+            );
+            let server_msg = SymMessage::fresh(&mut pool, &layout(), "msg");
+            let prepared = prepare_client_workers(
+                &mut pool,
+                &mut solver,
+                client,
+                server_msg.clone(),
+                FieldMask::none(),
+                Optimizations::default(),
+                1,
+            );
+            let explore = ExploreConfig {
+                recv_script: vec![server_msg],
+                ..ExploreConfig::default()
+            };
+            run_trojan_search(
+                &mut pool,
+                &mut solver,
+                &prepared,
+                &FspServer::new(spec.server.clone()),
+                explore,
+                Optimizations::default(),
+                true,
+            )
         };
-        let spec = FspSpec::new(config);
         let report = AchillesSession::new(&spec).run();
-        assert_eq!(report.trojans.len(), direct.trojans.len());
+        assert_eq!(report.trojans.len(), direct.reports.len());
         let fields = |ts: &[TrojanReport]| {
             ts.iter()
                 .map(|t| (t.server_path_id, t.witness_fields.clone(), t.verified))
                 .collect::<Vec<_>>()
         };
-        assert_eq!(fields(&report.trojans), fields(&direct.trojans));
+        assert_eq!(fields(&report.trojans), fields(&direct.reports));
         assert_eq!(report.server_paths, direct.server_paths);
         assert_eq!(spec.expected_trojans(), Some(report.trojans.len()));
     }
@@ -469,9 +511,8 @@ mod tests {
 
     #[test]
     fn replay_factory_mirrors_the_analyzed_server() {
-        let mut config = FspAnalysisConfig::accuracy().with_commands(1);
-        config.server.check_actual_length = true;
-        let spec = FspSpec::new(config);
+        let mut spec = FspSpec::accuracy().with_commands(1);
+        spec.server.check_actual_length = true;
         let target = spec.replay_target();
         assert_eq!(target.name(), "fsp");
         // A benign request is generable; the patched server still boots.

@@ -24,7 +24,7 @@ pub mod target;
 
 pub use engine::{Acceptor, Ballot, Proposer, Value};
 pub use programs::{
-    accept_layout, analyze_local_state, AcceptorMode, AcceptorProgram, ProposerMode,
-    ProposerProgram, ACCEPT_KIND, MAX_PROPOSABLE_VALUE,
+    accept_layout, AcceptorMode, AcceptorProgram, ProposerMode, ProposerProgram, ACCEPT_KIND,
+    MAX_PROPOSABLE_VALUE,
 };
 pub use target::{PaxosSpec, PaxosTarget};

@@ -123,43 +123,22 @@ impl NodeProgram for AcceptorProgram {
     }
 }
 
-/// Runs the full local-state analysis for one (proposer, acceptor) scenario:
-/// proposer predicate → preprocessing → acceptor Trojan search, optionally
-/// fanned out over `workers` work-stealing threads.
-///
-/// Returns the pool (for rendering witnesses) and the Trojan reports in
-/// canonical path order.
-///
-/// Deprecated shim: delegates to
-/// [`AchillesSession`](achilles::AchillesSession) over
-/// [`PaxosSpec`](crate::PaxosSpec); prefer driving the session (or the
-/// registry) directly in new code.
-pub fn analyze_local_state(
-    proposer: ProposerMode,
-    acceptor: AcceptorMode,
-    workers: usize,
-) -> (achilles_solver::TermPool, Vec<achilles::TrojanReport>) {
-    let spec = crate::target::PaxosSpec::new(proposer, acceptor);
-    let mut session = achilles::AchillesSession::new(&spec).workers(workers);
-    let report = session.run();
-    (session.into_engine().pool, report.trojans)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use achilles::{AchillesSession, TrojanReport};
 
-    fn analyze(
-        proposer: ProposerMode,
-        acceptor: AcceptorMode,
-    ) -> (achilles_solver::TermPool, Vec<achilles::TrojanReport>) {
-        analyze_local_state(proposer, acceptor, 1)
+    use super::*;
+    use crate::PaxosSpec;
+
+    fn analyze(proposer: ProposerMode, acceptor: AcceptorMode) -> Vec<TrojanReport> {
+        let spec = PaxosSpec::new(proposer, acceptor);
+        AchillesSession::new(&spec).run().trojans
     }
 
     #[test]
     fn concrete_scenario_flags_other_values() {
         // Phase 2 entered with (ballot 5, value 7): anything else is Trojan.
-        let (_pool, reports) = analyze(ProposerMode::Concrete(5, 7), AcceptorMode::Concrete(5));
+        let reports = analyze(ProposerMode::Concrete(5, 7), AcceptorMode::Concrete(5));
         assert_eq!(reports.len(), 1);
         let w = &reports[0].witness_fields;
         // kind, ballot, value — witness differs from (3, 5, 7) in some field
@@ -175,7 +154,7 @@ mod tests {
 
     #[test]
     fn constructed_mode_covers_all_scenarios_at_once() {
-        let (_pool, reports) = analyze(ProposerMode::Constructed(5), AcceptorMode::Concrete(5));
+        let reports = analyze(ProposerMode::Constructed(5), AcceptorMode::Concrete(5));
         assert_eq!(reports.len(), 1);
         let w = &reports[0].witness_fields;
         // The provable Trojans are out-of-domain values (or foreign ballots).
@@ -187,7 +166,7 @@ mod tests {
 
     #[test]
     fn over_approximate_acceptor_state() {
-        let (_pool, reports) = analyze(
+        let reports = analyze(
             ProposerMode::Constructed(5),
             AcceptorMode::OverApproximate { max: 20 },
         );

@@ -8,8 +8,8 @@
 use std::sync::Arc;
 
 use achilles::{
-    wire_to_fields, AchillesConfig, Delivery, InjectionOutcome, LocalStateMode, ReplayTarget,
-    SnapshotReplayTarget, TargetSnapshot, TargetSpec,
+    wire_to_fields, Delivery, InjectionOutcome, LocalStateMode, ReplayTarget, SnapshotReplayTarget,
+    TargetSnapshot, TargetSpec,
 };
 use achilles_symvm::{MessageLayout, NodeProgram};
 
@@ -209,10 +209,6 @@ impl TargetSpec for PaxosSpec {
         })
     }
 
-    fn analysis_config(&self) -> AchillesConfig {
-        AchillesConfig::verified()
-    }
-
     fn local_state_modes(&self) -> Vec<LocalStateMode> {
         vec![
             LocalStateMode::Concrete,
@@ -238,9 +234,9 @@ mod tests {
 
     #[test]
     fn spec_session_matches_the_legacy_pipeline() {
-        // Pin the session against the original hand-wired pipeline
-        // (rebuilt inline here, since `analyze_local_state` is now itself
-        // a session-backed shim and would move in lockstep).
+        // Pin the session against the original hand-wired pipeline,
+        // rebuilt inline so a behavioral divergence in `AchillesSession`
+        // cannot hide.
         let legacy = {
             use achilles::{prepare_client_workers, ClientPredicate, FieldMask, Optimizations};
             use achilles_solver::{Solver, TermPool};

@@ -1,16 +1,14 @@
-//! The canned PBFT Trojan analysis (§6.2): client predicate → negations →
-//! replica exploration. The paper reports that "Achilles completed the PBFT
-//! analysis in just a few seconds" and discovered "a single type of Trojan
-//! message" — a request whose authenticator field cannot come from a
-//! correct client, accepted because the primary never checks it.
+//! The PBFT Trojan family (§6.2). The paper reports that "Achilles
+//! completed the PBFT analysis in just a few seconds" and discovered "a
+//! single type of Trojan message" — a request whose authenticator field
+//! cannot come from a correct client, accepted because the primary never
+//! checks it. The analysis itself runs through
+//! [`AchillesSession`](achilles::AchillesSession) over
+//! [`PbftSpec`](crate::PbftSpec).
 
-use std::time::{Duration, Instant};
-
-use achilles::{ClientPredicate, Optimizations, TrojanReport, TrojanSearchStats, WorkerSummary};
-use achilles_symvm::{ExploreStats, SymMessage};
+use achilles::TrojanReport;
 
 use crate::protocol::{PbftRequest, MAC_PLACEHOLDER};
-use crate::replica::PbftReplicaConfig;
 
 /// Classification of PBFT Trojan reports.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,122 +30,35 @@ pub fn classify(report: &TrojanReport) -> PbftTrojanFamily {
     }
 }
 
-/// Configuration of a PBFT analysis run.
-#[derive(Clone, Debug, Default)]
-pub struct PbftAnalysisConfig {
-    /// Replica configuration (patch toggle).
-    pub replica: PbftReplicaConfig,
-    /// Optimization toggles.
-    pub optimizations: Optimizations,
-    /// Verify witnesses against the client predicate.
-    pub verify_witnesses: bool,
-    /// Worker threads for the replica analysis (0/1 = sequential).
-    pub workers: usize,
-}
-
-impl PbftAnalysisConfig {
-    /// The paper's setup: vulnerable replica, full optimizations,
-    /// verification on.
-    pub fn paper() -> PbftAnalysisConfig {
-        PbftAnalysisConfig {
-            verify_witnesses: true,
-            optimizations: Optimizations::default(),
-            replica: PbftReplicaConfig::default(),
-            workers: 1,
-        }
-    }
-
-    /// The paper's setup fanned out over `n` workers.
-    pub fn with_workers(mut self, n: usize) -> PbftAnalysisConfig {
-        self.workers = n.max(1);
-        self
-    }
-}
-
-/// Result of a PBFT analysis run.
-#[derive(Debug)]
-pub struct PbftAnalysisResult {
-    /// The client predicate.
-    pub client: ClientPredicate,
-    /// The symbolic request the replica received.
-    pub server_msg: SymMessage,
-    /// Trojan reports.
-    pub trojans: Vec<TrojanReport>,
-    /// Per-report families.
-    pub families: Vec<PbftTrojanFamily>,
-    /// Total analysis time (the paper: "a few seconds").
-    pub total_time: Duration,
-    /// Search counters.
-    pub search_stats: TrojanSearchStats,
-    /// Replica exploration counters.
-    pub explore_stats: ExploreStats,
-    /// Per-worker breakdown (one entry when sequential).
-    pub worker_stats: Vec<WorkerSummary>,
-}
-
-impl PbftAnalysisResult {
-    /// Number of MAC-attack reports.
-    pub fn mac_attacks(&self) -> usize {
-        self.families
-            .iter()
-            .filter(|f| **f == PbftTrojanFamily::MacAttack)
-            .count()
-    }
-
-    /// Number of distinct Trojan *types* (families) discovered.
-    pub fn distinct_families(&self) -> usize {
-        let mut fams: Vec<PbftTrojanFamily> = self.families.clone();
-        fams.sort_by_key(|f| *f == PbftTrojanFamily::Other);
-        fams.dedup();
-        fams.len()
-    }
-}
-
-/// Runs the PBFT analysis on a fresh pool/solver.
-///
-/// Deprecated shim: delegates to
-/// [`AchillesSession`](achilles::AchillesSession) over
-/// [`PbftSpec`](crate::PbftSpec); prefer driving the session (or the
-/// registry) directly in new code.
-pub fn run_analysis(config: &PbftAnalysisConfig) -> PbftAnalysisResult {
-    let started = Instant::now();
-    let spec = crate::target::PbftSpec {
-        analysis: config.clone(),
-        cluster: crate::cluster::ClusterConfig::default(),
-    };
-    let report = achilles::AchillesSession::new(&spec).run();
-    let families = report.trojans.iter().map(classify).collect();
-    PbftAnalysisResult {
-        client: report.client,
-        server_msg: report.server_msg,
-        trojans: report.trojans,
-        families,
-        total_time: started.elapsed(),
-        search_stats: report.search_stats,
-        explore_stats: report.server_explore,
-        worker_stats: report.server_workers,
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::time::{Duration, Instant};
+
+    use achilles::{AchillesReport, AchillesSession};
+
     use super::*;
+    use crate::replica::PbftReplicaConfig;
+    use crate::PbftSpec;
+
+    fn run(spec: &PbftSpec) -> AchillesReport {
+        AchillesSession::new(spec).run()
+    }
 
     #[test]
     fn rediscovers_the_mac_attack() {
-        let result = run_analysis(&PbftAnalysisConfig::paper());
+        let result = run(&PbftSpec::paper());
+        let families: Vec<PbftTrojanFamily> = result.trojans.iter().map(classify).collect();
         // One report per accepting path (read-only + pre_prepare), all of
         // the same single type — the paper: "Achilles discovered a single
         // type of Trojan message … on all execution paths in the server".
         assert_eq!(result.trojans.len(), 2);
-        assert_eq!(result.mac_attacks(), 2);
-        assert_eq!(result.distinct_families(), 1);
+        assert_eq!(families, vec![PbftTrojanFamily::MacAttack; 2]);
         assert!(result.trojans.iter().all(|t| t.verified));
     }
 
     #[test]
     fn witnesses_carry_corrupted_authenticators() {
-        let result = run_analysis(&PbftAnalysisConfig::paper());
+        let result = run(&PbftSpec::paper());
         for t in &result.trojans {
             let req = PbftRequest::from_field_values(&t.witness_fields);
             assert!(
@@ -162,12 +73,11 @@ mod tests {
 
     #[test]
     fn patched_replica_is_trojan_free() {
-        let config = PbftAnalysisConfig {
+        let spec = PbftSpec {
             replica: PbftReplicaConfig { verify_macs: true },
-            verify_witnesses: true,
-            ..PbftAnalysisConfig::paper()
+            ..PbftSpec::paper()
         };
-        let result = run_analysis(&config);
+        let result = run(&spec);
         assert_eq!(
             result.trojans.len(),
             0,
@@ -180,7 +90,8 @@ mod tests {
         // The paper: "Due to the simplicity of checks on the client request
         // fields, Achilles completed the PBFT analysis in just a few
         // seconds." Keep a generous bound for slow CI machines.
-        let result = run_analysis(&PbftAnalysisConfig::paper());
-        assert!(result.total_time < Duration::from_secs(30));
+        let started = Instant::now();
+        run(&PbftSpec::paper());
+        assert!(started.elapsed() < Duration::from_secs(30));
     }
 }

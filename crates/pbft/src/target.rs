@@ -8,17 +8,17 @@
 use std::sync::Arc;
 
 use achilles::{
-    AchillesConfig, Delivery, InjectionOutcome, ReplayTarget, SnapshotReplayTarget, TargetSnapshot,
-    TargetSpec, TrojanReport,
+    Delivery, InjectionOutcome, ReplayTarget, SnapshotReplayTarget, TargetSnapshot, TargetSpec,
+    TrojanReport,
 };
-use achilles_symvm::{ExploreConfig, MessageLayout, NodeProgram};
+use achilles_symvm::{MessageLayout, NodeProgram};
 
-use crate::analysis::{classify, PbftAnalysisConfig, PbftTrojanFamily};
+use crate::analysis::{classify, PbftTrojanFamily};
 use crate::client::PbftClient;
 use crate::cluster::{ClusterConfig, PbftCluster, SubmitOutcome};
 use crate::mac::{N_CLIENTS, N_REPLICAS};
 use crate::protocol::{layout, PbftRequest, COMMAND_LEN, MESSAGE_SIZE, REQUEST_TAG};
-use crate::replica::PbftReplica;
+use crate::replica::{PbftReplica, PbftReplicaConfig};
 
 /// The PBFT deployment target: the deterministic 4-replica cluster over
 /// `SimClock` cost accounting.
@@ -126,26 +126,23 @@ impl SnapshotReplayTarget for PbftForkSession {
     fn finish(&mut self, _outcome: &mut InjectionOutcome) {}
 }
 
-/// The PBFT protocol as a [`TargetSpec`].
+/// The PBFT protocol as a [`TargetSpec`]. The default is the paper's
+/// setup: the vulnerable replica.
 #[derive(Clone, Debug, Default)]
 pub struct PbftSpec {
-    /// The analysis configuration (replica patch toggle, workers).
-    pub analysis: PbftAnalysisConfig,
+    /// The analyzed replica (the MAC-verification patch toggle).
+    pub replica: PbftReplicaConfig,
     /// Cost model of the concrete cluster booted by the replay factory.
     /// Its MAC-verification toggle is *ignored*: the factory always
-    /// derives it from `analysis.replica.verify_macs`, so the replayed
-    /// deployment can never silently disagree with the analyzed replica.
+    /// derives it from `replica.verify_macs`, so the replayed deployment
+    /// can never silently disagree with the analyzed replica.
     pub cluster: ClusterConfig,
 }
 
 impl PbftSpec {
-    /// The paper's setup: vulnerable replica, verification on — the
-    /// registry default.
+    /// The paper's setup: vulnerable replica — the registry default.
     pub fn paper() -> PbftSpec {
-        PbftSpec {
-            analysis: PbftAnalysisConfig::paper(),
-            cluster: ClusterConfig::default(),
-        }
+        PbftSpec::default()
     }
 }
 
@@ -167,25 +164,13 @@ impl TargetSpec for PbftSpec {
     }
 
     fn server(&self) -> Box<dyn NodeProgram + Sync + '_> {
-        Box::new(PbftReplica::new(self.analysis.replica.clone()))
-    }
-
-    fn analysis_config(&self) -> AchillesConfig {
-        AchillesConfig {
-            optimizations: self.analysis.optimizations,
-            verify_witnesses: self.analysis.verify_witnesses,
-            server_explore: ExploreConfig {
-                workers: self.analysis.workers.max(1),
-                ..ExploreConfig::default()
-            },
-            ..AchillesConfig::default()
-        }
+        Box::new(PbftReplica::new(self.replica.clone()))
     }
 
     fn expected_trojans(&self) -> Option<usize> {
         // One report per accepting replica path (read-only + pre_prepare),
         // both of the single MAC-attack type — unless the patch closes it.
-        if self.analysis.replica.verify_macs {
+        if self.replica.verify_macs {
             Some(0)
         } else {
             Some(2)
@@ -203,7 +188,7 @@ impl TargetSpec for PbftSpec {
         // Patch toggles must match the analyzed server: derive the
         // cluster's MAC check from the replica config under analysis.
         Box::new(PbftTarget::new(ClusterConfig {
-            primary_verifies_macs: self.analysis.replica.verify_macs,
+            primary_verifies_macs: self.replica.verify_macs,
             ..self.cluster
         }))
     }
@@ -225,9 +210,31 @@ mod tests {
     }
 
     #[test]
+    fn default_spec_analyzes_like_the_paper_spec() {
+        // The derived default and `paper()` must analyze identically,
+        // witness verification included.
+        let default = PbftSpec::default();
+        let paper = PbftSpec::paper();
+        let config = |spec: &PbftSpec| format!("{:?}", AchillesSession::new(spec).config());
+        assert_eq!(config(&default), config(&paper));
+        assert!(AchillesSession::new(&default).config().verify_witnesses);
+        let witnesses = |spec: &PbftSpec| {
+            let report = AchillesSession::new(spec).run();
+            report
+                .trojans
+                .iter()
+                .map(|t| (t.witness_fields.clone(), t.verified))
+                .collect::<Vec<_>>()
+        };
+        let found = witnesses(&default);
+        assert_eq!(found.len(), 2);
+        assert_eq!(found, witnesses(&paper));
+    }
+
+    #[test]
     fn patched_spec_expects_zero() {
         let mut spec = PbftSpec::paper();
-        spec.analysis.replica.verify_macs = true;
+        spec.replica.verify_macs = true;
         let report = AchillesSession::new(&spec).run();
         assert_eq!(report.trojans.len(), 0);
         assert_eq!(spec.expected_trojans(), Some(0));
@@ -241,7 +248,7 @@ mod tests {
         // is dropped exactly when the analysis is patched.
         for patched in [false, true] {
             let mut spec = PbftSpec::paper();
-            spec.analysis.replica.verify_macs = patched;
+            spec.replica.verify_macs = patched;
             spec.cluster.primary_verifies_macs = !patched; // contradicts on purpose
             let target = spec.replay_target();
             let bad = PbftRequest::correct(0, 1, *b"op__").with_corrupted_mac(1);

@@ -11,8 +11,8 @@
 use std::sync::Arc;
 
 use achilles::{
-    AchillesConfig, Delivery, DivergenceProbe, InjectionOutcome, ReplayTarget, SessionSlot,
-    SessionSpec, SnapshotReplayTarget, StateRoot, TargetSnapshot, TargetSpec, TrojanReport,
+    Delivery, DivergenceProbe, InjectionOutcome, ReplayTarget, SessionSlot, SessionSpec,
+    SnapshotReplayTarget, StateRoot, TargetSnapshot, TargetSpec, TrojanReport,
 };
 use achilles_symvm::{MessageLayout, NodeProgram};
 
@@ -420,10 +420,6 @@ impl TargetSpec for ShardexecSpec {
         Box::new(IngressWriteProgram {
             config: self.config,
         })
-    }
-
-    fn analysis_config(&self) -> AchillesConfig {
-        AchillesConfig::verified()
     }
 
     fn expected_trojans(&self) -> Option<usize> {

@@ -9,8 +9,8 @@
 use std::sync::Arc;
 
 use achilles::{
-    AchillesConfig, Delivery, InjectionOutcome, ReplayTarget, SessionSlot, SessionSpec,
-    SnapshotReplayTarget, TargetSnapshot, TargetSpec, TrojanReport,
+    Delivery, InjectionOutcome, ReplayTarget, SessionSlot, SessionSpec, SnapshotReplayTarget,
+    TargetSnapshot, TargetSpec, TrojanReport,
 };
 use achilles_symvm::{MessageLayout, NodeProgram};
 
@@ -395,10 +395,6 @@ impl TargetSpec for TwopcSpec {
         Box::new(CoordinatorProgram {
             config: self.config,
         })
-    }
-
-    fn analysis_config(&self) -> AchillesConfig {
-        AchillesConfig::verified()
     }
 
     fn expected_trojans(&self) -> Option<usize> {

@@ -9,12 +9,14 @@
 //! cargo run --release -p achilles-examples --example paxos_local_state
 //! ```
 
+use achilles::{AchillesSession, TrojanReport};
 use achilles_paxos::{
-    analyze_local_state, Acceptor, AcceptorMode, Proposer, ProposerMode, MAX_PROPOSABLE_VALUE,
+    Acceptor, AcceptorMode, PaxosSpec, Proposer, ProposerMode, MAX_PROPOSABLE_VALUE,
 };
 
-fn analyze(proposer: ProposerMode, acceptor: AcceptorMode) -> Vec<achilles::TrojanReport> {
-    analyze_local_state(proposer, acceptor, 1).1
+fn analyze(proposer: ProposerMode, acceptor: AcceptorMode) -> Vec<TrojanReport> {
+    let spec = PaxosSpec::new(proposer, acceptor);
+    AchillesSession::new(&spec).run().trojans
 }
 
 fn main() {

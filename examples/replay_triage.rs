@@ -13,7 +13,8 @@
 //! cargo run --release -p achilles-examples --example replay_triage
 //! ```
 
-use achilles_fsp::{run_analysis, FspAnalysisConfig, FspMessage, FspTarget};
+use achilles::AchillesSession;
+use achilles_fsp::{classify, FspMessage, FspSpec, FspTarget, TrojanFamily};
 use achilles_replay::{
     minimize_session, replay_session, validate_session_trojans, DeliveryFault, FaultSchedule,
     ReplayCorpus, SessionValidateConfig,
@@ -21,18 +22,25 @@ use achilles_replay::{
 
 fn main() {
     // 1. Discover: one utility in wildcard mode — both Trojan families.
-    let config = FspAnalysisConfig::wildcard().with_commands(1);
-    let result = run_analysis(&config);
+    let spec = FspSpec::wildcard().with_commands(1);
+    let result = AchillesSession::new(&spec).run();
+    let count = |family: fn(&TrojanFamily) -> bool| {
+        result
+            .trojans
+            .iter()
+            .filter(|t| family(&classify(t)))
+            .count()
+    };
     println!(
         "discovered {} Trojans ({} length-mismatch, {} wildcard)",
         result.trojans.len(),
-        result.length_mismatches(),
-        result.wildcards()
+        count(|f| matches!(f, TrojanFamily::LengthMismatch { .. })),
+        count(|f| matches!(f, TrojanFamily::Wildcard { .. }))
     );
 
     // 2. Validate: replay every witness against the concrete deployment,
     //    minimizing the first witness of each crash signature.
-    let target = FspTarget::new(config.server.clone(), config.client.glob_expansion);
+    let target = FspTarget::new(spec.server.clone(), spec.client.glob_expansion);
     let mut corpus = ReplayCorpus::new();
     let validate_config = SessionValidateConfig {
         minimize: true,

@@ -2,58 +2,71 @@
 //! hold on the concretely deployed server, and the counting matches the
 //! paper's arithmetic.
 
+use achilles::{AchillesReport, AchillesSession, TrojanReport};
 use achilles_fsp::{
-    expected_length_mismatch_trojans, expected_wildcard_trojans, is_trojan, run_analysis,
-    server_accepts, FspAnalysisConfig, FspMessage, FspServerConfig, FspServerRuntime, TrojanFamily,
-    MAX_PATH,
+    classify, expected_length_mismatch_trojans, expected_wildcard_trojans, is_trojan,
+    server_accepts, FspMessage, FspServerConfig, FspServerRuntime, FspSpec, TrojanFamily, MAX_PATH,
 };
 use achilles_netsim::{Addr, SimFs};
+
+fn run(spec: &FspSpec) -> AchillesReport {
+    AchillesSession::new(spec).run()
+}
+
+/// `(length-mismatch, wildcard, other)` report counts.
+fn family_counts(trojans: &[TrojanReport]) -> (usize, usize, usize) {
+    let mut counts = (0, 0, 0);
+    for t in trojans {
+        match classify(t) {
+            TrojanFamily::LengthMismatch { .. } => counts.0 += 1,
+            TrojanFamily::Wildcard { .. } => counts.1 += 1,
+            TrojanFamily::Other => counts.2 += 1,
+        }
+    }
+    counts
+}
 
 #[test]
 fn scaled_accuracy_counts_match_the_arithmetic() {
     for n_commands in [1, 2, 3] {
-        let config = FspAnalysisConfig::accuracy().with_commands(n_commands);
-        let result = run_analysis(&config);
+        let result = run(&FspSpec::accuracy().with_commands(n_commands));
         assert_eq!(
             result.trojans.len(),
             expected_length_mismatch_trojans(n_commands),
             "{n_commands} commands"
         );
-        assert_eq!(result.unverified(), 0);
-        assert_eq!(result.others(), 0);
+        assert!(result.trojans.iter().all(|t| t.verified));
+        assert_eq!(family_counts(&result.trojans).2, 0);
     }
 }
 
 #[test]
 fn wildcard_mode_finds_both_families() {
-    let config = FspAnalysisConfig::wildcard().with_commands(2);
-    let result = run_analysis(&config);
-    assert_eq!(
-        result.length_mismatches(),
-        expected_length_mismatch_trojans(2)
-    );
-    assert_eq!(result.wildcards(), expected_wildcard_trojans(2));
-    assert_eq!(result.unverified(), 0);
+    let result = run(&FspSpec::wildcard().with_commands(2));
+    let (length_mismatches, wildcards, _) = family_counts(&result.trojans);
+    assert_eq!(length_mismatches, expected_length_mismatch_trojans(2));
+    assert_eq!(wildcards, expected_wildcard_trojans(2));
+    assert!(result.trojans.iter().all(|t| t.verified));
 }
 
 #[test]
 fn every_witness_is_injectable() {
     // Each reported witness, turned into wire bytes, must be accepted by a
     // concretely deployed server and classified Trojan by the oracle.
-    let config = FspAnalysisConfig::accuracy().with_commands(2);
-    let result = run_analysis(&config);
+    let spec = FspSpec::accuracy().with_commands(2);
+    let result = run(&spec);
     let mut server = FspServerRuntime::new(
         Addr::new("fspd"),
         SimFs::new(),
         FspServerConfig {
-            commands: config.commands.clone(),
+            commands: spec.commands.clone(),
             ..FspServerConfig::default()
         },
     );
     for t in &result.trojans {
         let msg = FspMessage::from_field_values(&t.witness_fields);
         assert!(
-            is_trojan(&msg, &config.server, config.client.glob_expansion),
+            is_trojan(&msg, &spec.server, spec.client.glob_expansion),
             "oracle agrees the witness is Trojan: {msg:?}"
         );
         let before = server.accepted;
@@ -71,13 +84,12 @@ fn witnesses_carry_smuggled_payload_capability() {
     // §6.3 mismatched lengths: for every reported length-mismatch Trojan,
     // the bytes after the NUL are attacker-controlled payload. Check there
     // exists a witness with a non-zero smuggled byte.
-    let config = FspAnalysisConfig::accuracy().with_commands(2);
-    let result = run_analysis(&config);
+    let result = run(&FspSpec::accuracy().with_commands(2));
     let mut found_capacity = false;
-    for (_t, f) in result.trojans.iter().zip(&result.families) {
+    for t in &result.trojans {
         if let TrojanFamily::LengthMismatch {
             reported, actual, ..
-        } = f
+        } = classify(t)
         {
             assert!(actual < reported);
             if reported - actual > 1 {
@@ -90,8 +102,7 @@ fn witnesses_carry_smuggled_payload_capability() {
 
 #[test]
 fn fully_patched_server_rejects_all_witnesses() {
-    let config = FspAnalysisConfig::wildcard().with_commands(1);
-    let result = run_analysis(&config);
+    let result = run(&FspSpec::wildcard().with_commands(1));
     let patched = FspServerConfig {
         check_actual_length: true,
         reject_wildcards: true,
@@ -110,15 +121,14 @@ fn fully_patched_server_rejects_all_witnesses() {
 fn trojan_reports_cover_every_length_combination() {
     // The 1-command accuracy run must produce one report per
     // (reported, actual) pair with actual < reported — all Σ L = 10 classes.
-    let config = FspAnalysisConfig::accuracy().with_commands(1);
-    let result = run_analysis(&config);
+    let result = run(&FspSpec::accuracy().with_commands(1));
     let mut classes: Vec<(usize, usize)> = result
-        .families
+        .trojans
         .iter()
-        .filter_map(|f| match f {
+        .filter_map(|t| match classify(t) {
             TrojanFamily::LengthMismatch {
                 reported, actual, ..
-            } => Some((*reported, *actual)),
+            } => Some((reported, actual)),
             _ => None,
         })
         .collect();
@@ -143,12 +153,12 @@ fn refinement_confirms_fsp_witnesses() {
     use achilles_solver::{Solver, TermPool};
     use achilles_symvm::ExploreConfig;
 
-    let config = FspAnalysisConfig::accuracy().with_commands(2);
-    let result = run_analysis(&config);
+    let spec = FspSpec::accuracy().with_commands(2);
+    let result = run(&spec);
     let mut pool = TermPool::new();
     let mut solver = Solver::new();
     for t in result.trojans.iter().take(8) {
-        for &cmd in &config.commands {
+        for &cmd in &spec.commands {
             let client = FspClient::new(cmd, FspClientConfig::default());
             let r = refine_witness(
                 &mut pool,

@@ -1,51 +1,11 @@
-//! Integration: the three §3.4 local-state modes, both through the Paxos
-//! programs and through the pipeline's `LocalState::Constructed` seeding.
+//! Integration: the pipeline's `LocalState::Constructed` seeding (§3.4).
+//! The three Paxos local-state modes are pinned by the `achilles-paxos`
+//! unit tests (`programs::tests`).
 
 use achilles::{Achilles, AchillesConfig, FieldMask, LocalState, Optimizations};
-use achilles_paxos::{analyze_local_state, AcceptorMode, ProposerMode, MAX_PROPOSABLE_VALUE};
 use achilles_solver::Width;
 use achilles_symvm::{ExploreConfig, MessageLayout, PathResult, SymEnv, SymMessage};
 use std::sync::Arc;
-
-fn analyze_paxos(proposer: ProposerMode, acceptor: AcceptorMode) -> Vec<achilles::TrojanReport> {
-    analyze_local_state(proposer, acceptor, 1).1
-}
-
-#[test]
-fn concrete_state_mode() {
-    let reports = analyze_paxos(ProposerMode::Concrete(5, 7), AcceptorMode::Concrete(5));
-    assert_eq!(reports.len(), 1);
-    let w = &reports[0].witness_fields;
-    assert!(
-        w[1] != 5 || w[2] != 7,
-        "anything but the scenario's Accept is Trojan"
-    );
-    assert!(reports[0].verified);
-}
-
-#[test]
-fn constructed_state_mode_generalizes() {
-    let reports = analyze_paxos(ProposerMode::Constructed(5), AcceptorMode::Concrete(5));
-    assert_eq!(reports.len(), 1);
-    let w = &reports[0].witness_fields;
-    assert!(
-        w[2] > MAX_PROPOSABLE_VALUE || w[1] != 5,
-        "one analysis covers every proposable value"
-    );
-}
-
-#[test]
-fn over_approximate_state_mode() {
-    let reports = analyze_paxos(
-        ProposerMode::Constructed(5),
-        AcceptorMode::OverApproximate { max: 20 },
-    );
-    assert_eq!(reports.len(), 1);
-}
-
-// ---------------------------------------------------------------------
-// Pipeline-level constructed state: seeding constraints into the server.
-// ---------------------------------------------------------------------
 
 fn kv_layout() -> Arc<MessageLayout> {
     MessageLayout::builder("kv")

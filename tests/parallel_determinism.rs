@@ -1,6 +1,6 @@
 //! Parallel determinism: `workers = 1` and `workers = 4` must produce
-//! identical Trojan sets, path counts, and witnesses on the quickstart, FSP,
-//! and PBFT scenarios.
+//! identical Trojan sets, path counts, and witnesses on the quickstart
+//! scenario and on every built-in protocol spec.
 //!
 //! Why this holds by construction: the executor schedules paths as decision
 //! prefixes and re-executes from the program start, so a path's constraint
@@ -19,8 +19,6 @@
 use std::sync::Arc;
 
 use achilles::{Achilles, AchillesConfig, TrojanReport};
-use achilles_fsp::{run_analysis, FspAnalysisConfig};
-use achilles_pbft::{run_analysis as run_pbft, PbftAnalysisConfig};
 use achilles_solver::Width;
 use achilles_symvm::{ExploreConfig, MessageLayout, PathResult, SymEnv, SymMessage};
 
@@ -117,68 +115,6 @@ fn quickstart_is_worker_count_invariant() {
 }
 
 // ---------------------------------------------------------------------------
-// FSP (§6.2 accuracy workload, scaled to two utilities)
-// ---------------------------------------------------------------------------
-
-#[test]
-fn fsp_is_worker_count_invariant() {
-    let seq = run_analysis(&FspAnalysisConfig::accuracy().with_commands(2));
-    let par = run_analysis(
-        &FspAnalysisConfig::accuracy()
-            .with_commands(2)
-            .with_workers(4),
-    );
-    assert_eq!(seq.server_paths, par.server_paths, "path counts");
-    assert_eq!(seq.trojans.len(), par.trojans.len());
-    assert_eq!(
-        report_keys(&seq.trojans),
-        report_keys(&par.trojans),
-        "trojan sets + witnesses"
-    );
-    assert_eq!(seq.families, par.families);
-    assert_eq!(par.explore_stats.workers, 4);
-    assert_eq!(par.worker_stats.len(), 4);
-    // The parallel run exercised the machinery it claims to: all work still
-    // happened (runs are scheduling-invariant).
-    assert_eq!(seq.explore_stats.runs, par.explore_stats.runs);
-}
-
-// ---------------------------------------------------------------------------
-// PBFT (the MAC attack)
-// ---------------------------------------------------------------------------
-
-#[test]
-fn pbft_is_worker_count_invariant() {
-    let seq = run_pbft(&PbftAnalysisConfig::paper());
-    let par = run_pbft(&PbftAnalysisConfig::paper().with_workers(4));
-    assert_eq!(
-        seq.explore_stats.completed, par.explore_stats.completed,
-        "path counts"
-    );
-    assert_eq!(
-        report_keys(&seq.trojans),
-        report_keys(&par.trojans),
-        "trojan sets + witnesses"
-    );
-    assert_eq!(seq.mac_attacks(), par.mac_attacks());
-    assert_eq!(par.worker_stats.len(), 4);
-}
-
-// ---------------------------------------------------------------------------
-// Paxos local-state modes
-// ---------------------------------------------------------------------------
-
-#[test]
-fn paxos_is_worker_count_invariant() {
-    use achilles_paxos::{analyze_local_state, AcceptorMode, ProposerMode};
-    let (_p1, seq) =
-        analyze_local_state(ProposerMode::Constructed(5), AcceptorMode::Concrete(5), 1);
-    let (_p2, par) =
-        analyze_local_state(ProposerMode::Constructed(5), AcceptorMode::Concrete(5), 4);
-    assert_eq!(report_keys(&seq), report_keys(&par));
-}
-
-// ---------------------------------------------------------------------------
 // Discovery counters (one observer notification per exploration-tree node)
 // ---------------------------------------------------------------------------
 
@@ -187,46 +123,51 @@ fn discovery_counters_are_worker_count_invariant() {
     // Forks carry the observer's checkpoint, so every node of the server
     // exploration tree is observed exactly once, by whichever worker runs
     // it. The Trojan-search counters, the solver queries and the Figure 11
-    // sample count are therefore worker-count invariant, like the witness
-    // sets themselves.
+    // sample count are therefore worker-count invariant, like the Trojan
+    // reports themselves. Inputs: the wildcard FSP setup, every built-in
+    // spec, and the Paxos constructed-state scenario.
     use achilles::{AchillesSession, TargetSpec};
     use achilles_fsp::analysis::{expected_length_mismatch_trojans, expected_wildcard_trojans};
     use achilles_fsp::FspSpec;
+    use achilles_paxos::{AcceptorMode, PaxosSpec, ProposerMode};
     use achilles_targets::builtin_registry;
 
-    let registry = builtin_registry();
-    let specs: [(&str, Arc<dyn TargetSpec>, usize); 2] = [
-        (
-            "fsp-wildcard",
-            Arc::new(FspSpec::wildcard()),
-            expected_length_mismatch_trojans(8) + expected_wildcard_trojans(8),
-        ),
-        (
-            "shardexec",
-            Arc::clone(registry.get("shardexec").expect("shardexec is registered")),
-            1,
-        ),
-    ];
+    let mut specs: Vec<(&str, Arc<dyn TargetSpec>, usize)> = vec![(
+        "fsp-wildcard",
+        Arc::new(FspSpec::wildcard()),
+        expected_length_mismatch_trojans(8) + expected_wildcard_trojans(8),
+    )];
+    for spec in builtin_registry().iter() {
+        let expected = spec
+            .expected_trojans()
+            .expect("built-in specs declare their Trojan count");
+        specs.push((spec.name(), Arc::clone(spec), expected));
+    }
+    specs.push((
+        "paxos-constructed",
+        Arc::new(PaxosSpec::new(
+            ProposerMode::Constructed(5),
+            AcceptorMode::Concrete(5),
+        )),
+        1,
+    ));
     for (name, spec, expected) in &specs {
         let run = |workers: usize| {
             let report = AchillesSession::new(&**spec).workers(workers).run();
-            let mut witnesses: Vec<Vec<u64>> = report
-                .trojans
-                .iter()
-                .map(|t| t.witness_fields.clone())
-                .collect();
-            witnesses.sort();
+            assert_eq!(report.server_workers.len(), workers, "{name}: worker stats");
+            assert_eq!(report.server_explore.workers, workers, "{name}: workers");
             let queries: u64 = report.server_workers.iter().map(|w| w.queries).sum();
             (
                 report.search_stats,
                 queries,
                 report.samples.len(),
                 report.server_paths,
-                witnesses,
+                report.server_explore.runs,
+                report_keys(&report.trojans),
             )
         };
         let seq = run(1);
-        assert_eq!(seq.4.len(), *expected, "{name}: Trojan count");
+        assert_eq!(seq.5.len(), *expected, "{name}: Trojan count");
         for workers in [2usize, 4] {
             assert_eq!(run(workers), seq, "{name} at {workers} workers");
         }
@@ -239,16 +180,12 @@ fn discovery_counters_are_worker_count_invariant() {
 
 #[test]
 fn parallel_runs_are_repeatable() {
-    let a = run_analysis(
-        &FspAnalysisConfig::accuracy()
-            .with_commands(1)
-            .with_workers(4),
-    );
-    let b = run_analysis(
-        &FspAnalysisConfig::accuracy()
-            .with_commands(1)
-            .with_workers(4),
-    );
+    use achilles::AchillesSession;
+    use achilles_fsp::FspSpec;
+
+    let spec = FspSpec::accuracy().with_commands(1);
+    let run = || AchillesSession::new(&spec).workers(4).run();
+    let (a, b) = (run(), run());
     assert_eq!(report_keys(&a.trojans), report_keys(&b.trojans));
     assert_eq!(a.server_paths, b.server_paths);
 }

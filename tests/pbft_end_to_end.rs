@@ -1,19 +1,25 @@
 //! Integration: the PBFT MAC-attack finding transfers from the symbolic
 //! analysis to the concrete cluster simulation.
 
+use achilles::{AchillesReport, AchillesSession};
 use achilles_pbft::{
-    run_analysis, ClusterConfig, PbftAnalysisConfig, PbftCluster, PbftRequest, PbftTrojanFamily,
-    SubmitOutcome, DIGEST_PLACEHOLDER, MAC_PLACEHOLDER, N_REPLICAS,
+    classify, ClusterConfig, PbftCluster, PbftRequest, PbftSpec, PbftTrojanFamily, SubmitOutcome,
+    DIGEST_PLACEHOLDER, MAC_PLACEHOLDER, N_REPLICAS,
 };
+
+fn run(spec: &PbftSpec) -> AchillesReport {
+    AchillesSession::new(spec).run()
+}
 
 #[test]
 fn analysis_finds_exactly_the_mac_attack() {
-    let result = run_analysis(&PbftAnalysisConfig::paper());
-    assert_eq!(result.distinct_families(), 1);
+    let result = run(&PbftSpec::paper());
+    // One Trojan type, and it is the MAC attack.
+    assert!(!result.trojans.is_empty());
     assert!(result
-        .families
+        .trojans
         .iter()
-        .all(|f| *f == PbftTrojanFamily::MacAttack));
+        .all(|t| classify(t) == PbftTrojanFamily::MacAttack));
     assert!(result.trojans.iter().all(|t| t.verified));
     // Both accepting paths (read-only and agreement) carry the same Trojan
     // type — "the Trojan message discovered by Achilles appears on all
@@ -35,7 +41,7 @@ fn witness_analogue_triggers_recovery_in_the_cluster() {
     // accepted". The concrete analogue: a request whose real MAC is
     // corrupted. Submit it: the vulnerable primary forwards it and the
     // cluster pays the recovery cost.
-    let result = run_analysis(&PbftAnalysisConfig::paper());
+    let result = run(&PbftSpec::paper());
     let witness = PbftRequest::from_field_values(&result.trojans[0].witness_fields);
     assert!(witness
         .macs
@@ -59,11 +65,10 @@ fn witness_analogue_triggers_recovery_in_the_cluster() {
 #[test]
 fn patched_replica_closes_the_hole_and_the_cluster_survives() {
     use achilles_pbft::PbftReplicaConfig;
-    let config = PbftAnalysisConfig {
+    let result = run(&PbftSpec {
         replica: PbftReplicaConfig { verify_macs: true },
-        ..PbftAnalysisConfig::paper()
-    };
-    let result = run_analysis(&config);
+        ..PbftSpec::paper()
+    });
     assert_eq!(result.trojans.len(), 0);
 
     let cluster_config = ClusterConfig {

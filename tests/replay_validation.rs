@@ -6,24 +6,26 @@
 //! their crash signature. Every single-message witness here replays as a
 //! one-slot session through the one session driver.
 
-use achilles_fsp::{
-    is_trojan, run_analysis as run_fsp, Command, FspAnalysisConfig, FspMessage, FspServerConfig,
-    FspTarget,
-};
-use achilles_paxos::{analyze_local_state, AcceptorMode, PaxosTarget, ProposerMode};
-use achilles_pbft::run_analysis as run_pbft;
-use achilles_pbft::{PbftAnalysisConfig, PbftTarget};
+use achilles::{AchillesSession, TargetSpec, TrojanReport};
+use achilles_fsp::{is_trojan, Command, FspMessage, FspServerConfig, FspSpec, FspTarget};
+use achilles_paxos::{AcceptorMode, PaxosSpec, PaxosTarget, ProposerMode};
+use achilles_pbft::{PbftSpec, PbftTarget};
 use achilles_replay::{
     minimize_session, replay_session, validate_session_trojans, FaultSchedule, ReplayCorpus,
     ReplayTarget, ReplayVerdict, SessionValidateConfig, SessionWitness,
 };
+
+/// The spec's Trojan reports from a fresh single-worker session.
+fn discover(spec: &dyn TargetSpec) -> Vec<TrojanReport> {
+    AchillesSession::new(spec).run().trojans
+}
 
 /// Replay key for byte-level comparison: fields, wire, verdict, signature.
 type ReplayKey = (Vec<u64>, Vec<u8>, ReplayVerdict, String);
 
 fn replay_keys(
     target: &dyn ReplayTarget,
-    trojans: &[achilles::TrojanReport],
+    trojans: &[TrojanReport],
     workers: usize,
 ) -> Vec<ReplayKey> {
     let mut corpus = ReplayCorpus::new();
@@ -54,70 +56,70 @@ fn replay_keys(
 
 #[test]
 fn fsp_trojans_replay_to_predicted_verdicts_deterministically() {
-    let config = FspAnalysisConfig::accuracy().with_commands(2);
-    let result = run_fsp(&config);
-    assert!(!result.trojans.is_empty());
-    let target = FspTarget::new(config.server.clone(), config.client.glob_expansion);
+    let spec = FspSpec::accuracy().with_commands(2);
+    let trojans = discover(&spec);
+    assert!(!trojans.is_empty());
+    let target = FspTarget::new(spec.server.clone(), spec.client.glob_expansion);
 
-    let keys1 = replay_keys(&target, &result.trojans, 1);
+    let keys1 = replay_keys(&target, &trojans, 1);
     // Every witness confirms, and the concrete oracle agrees.
     for (fields, _, verdict, _) in &keys1 {
         assert_eq!(*verdict, ReplayVerdict::ConfirmedTrojan);
         let msg = FspMessage::from_field_values(fields);
         // The runtime speaks the full protocol (Install added), so mirror
         // its effective configuration for the oracle.
-        let mut effective = config.server.clone();
+        let mut effective = spec.server.clone();
         effective.commands.push(Command::Install);
         assert!(
-            is_trojan(&msg, &effective, config.client.glob_expansion),
+            is_trojan(&msg, &effective, spec.client.glob_expansion),
             "oracle agrees the witness is Trojan: {fields:?}"
         );
     }
     // Byte-identical across worker counts and across runs.
-    assert_eq!(keys1, replay_keys(&target, &result.trojans, 4));
-    let rerun = run_fsp(&config);
-    assert_eq!(keys1, replay_keys(&target, &rerun.trojans, 1));
+    assert_eq!(keys1, replay_keys(&target, &trojans, 4));
+    let rerun = discover(&spec);
+    assert_eq!(keys1, replay_keys(&target, &rerun, 1));
 }
 
 #[test]
 fn wildcard_mode_confirms_and_dedups_by_signature() {
-    let config = FspAnalysisConfig::wildcard().with_commands(1);
-    let result = run_fsp(&config);
-    let target = FspTarget::new(config.server.clone(), config.client.glob_expansion);
+    let spec = FspSpec::wildcard().with_commands(1);
+    let trojans = discover(&spec);
+    let target = FspTarget::new(spec.server.clone(), spec.client.glob_expansion);
     let mut corpus = ReplayCorpus::new();
     let summary = validate_session_trojans(
         &target,
-        &result.trojans,
+        &trojans,
         &mut corpus,
         &SessionValidateConfig::default(),
     );
-    assert_eq!(summary.confirmed, result.trojans.len(), "100% confirm");
+    assert_eq!(summary.confirmed, trojans.len(), "100% confirm");
     // The four wildcard witnesses (one per exact length) share signatures
     // beyond length: dedup strictly compresses.
     assert!(
-        corpus.distinct_signatures() < result.trojans.len(),
+        corpus.distinct_signatures() < trojans.len(),
         "{} signatures for {} witnesses",
         corpus.distinct_signatures(),
-        result.trojans.len()
+        trojans.len()
     );
 }
 
 #[test]
 fn pbft_trojans_replay_to_recovery() {
-    let result = run_pbft(&PbftAnalysisConfig::paper());
-    assert_eq!(result.trojans.len(), 2);
+    let trojans = discover(&PbftSpec::paper());
+    assert_eq!(trojans.len(), 2);
     let target = PbftTarget::default();
-    let keys1 = replay_keys(&target, &result.trojans, 1);
+    let keys1 = replay_keys(&target, &trojans, 1);
     for (_, _, verdict, sig) in &keys1 {
         assert_eq!(*verdict, ReplayVerdict::ConfirmedTrojan);
         assert!(sig.contains("outcome:recovered"), "{sig}");
     }
-    assert_eq!(keys1, replay_keys(&target, &result.trojans, 4));
+    assert_eq!(keys1, replay_keys(&target, &trojans, 4));
     // Both accepting paths map to the single MAC-attack bug class.
     let mut corpus = ReplayCorpus::new();
     validate_session_trojans(
         &target,
-        &result.trojans,
+        &trojans,
         &mut corpus,
         &SessionValidateConfig::default(),
     );
@@ -126,8 +128,10 @@ fn pbft_trojans_replay_to_recovery() {
 
 #[test]
 fn paxos_trojan_replays_against_the_engine() {
-    let (_pool, trojans) =
-        analyze_local_state(ProposerMode::Concrete(5, 7), AcceptorMode::Concrete(5), 1);
+    let trojans = discover(&PaxosSpec::new(
+        ProposerMode::Concrete(5, 7),
+        AcceptorMode::Concrete(5),
+    ));
     assert_eq!(trojans.len(), 1);
     let target = PaxosTarget::new(5, ProposerMode::Concrete(5, 7));
     let keys1 = replay_keys(&target, &trojans, 1);
@@ -167,18 +171,18 @@ fn minimizer_strictly_shrinks_and_preserves_signature() {
 
 #[test]
 fn corpus_makes_revalidation_incremental_across_save_load() {
-    let config = FspAnalysisConfig::accuracy().with_commands(1);
-    let result = run_fsp(&config);
-    let target = FspTarget::new(config.server.clone(), false);
+    let spec = FspSpec::accuracy().with_commands(1);
+    let trojans = discover(&spec);
+    let target = FspTarget::new(spec.server.clone(), false);
     let mut corpus = ReplayCorpus::new();
     let first = validate_session_trojans(
         &target,
-        &result.trojans,
+        &trojans,
         &mut corpus,
         &SessionValidateConfig::default(),
     );
     assert_eq!(first.skipped_known, 0);
-    assert_eq!(first.confirmed, result.trojans.len());
+    assert_eq!(first.confirmed, trojans.len());
 
     // Round-trip the corpus through its serialized form (as a CI cache
     // would) and re-validate: nothing replays.
@@ -187,10 +191,10 @@ fn corpus_makes_revalidation_incremental_across_save_load() {
     assert_eq!(reloaded.len(), corpus.len());
     let second = validate_session_trojans(
         &target,
-        &result.trojans,
+        &trojans,
         &mut reloaded,
         &SessionValidateConfig::default(),
     );
     assert_eq!(second.replayed, 0);
-    assert_eq!(second.skipped_known, result.trojans.len());
+    assert_eq!(second.skipped_known, trojans.len());
 }
